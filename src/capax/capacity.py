@@ -103,18 +103,14 @@ def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
     )
 
 
-def _capacity_program(grid, obstacle, params, kind, tol, max_iter, warm_pair):
-    return _solve(params, grid, obstacle, kind, tol, max_iter, warm_pair)
-
-
 def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int = 48,
                      tol: float = 1e-6, max_iter: int = 20000) -> float:
     """Layer-cake integral of g >= 0 against the capacity of its superlevel sets.
 
-    Levels are log-spaced over (min positive value, max value]; each level is
-    solved warm-started from the previous (nested) superlevel extremal, and the
-    flat piece below the smallest positive value uses the capacity of the
-    support exactly.
+    Levels are log-spaced over (min positive value, max value]; each level's
+    solve is seeded with the multiplier of the previous (nested) superlevel
+    set, and the flat piece below the smallest positive value uses the
+    capacity of the support exactly.
     """
     vals = g.values
     if np.any(vals < 0):

@@ -1,15 +1,23 @@
-"""First-order primal-dual solver for the capacitary obstacle program.
+"""Obstacle-program solver: projected semismooth Newton on the dual, with a
+Chambolle-Pock fallback.
 
 Solves   min  h^n sum_i f_i^s   s.t.  (K f)(x) >= b(x) on {b > 0},  f >= 0,
 where K is a tabulated (Riesz or Bessel) convolution operator applied with
 FFTs. The objective is strictly convex, so the minimizer is unique.
 
-The main loop is a Chambolle-Pock splitting with step sizes from power
-iteration on the constraint operator. Certificates never rely on the raw
-iterates: the primal value is evaluated at an exactly rescaled feasible
-point, and the gap against a Fenchel dual value at the (always feasible)
-running multiplier. A semi-smooth Newton polish on the dual active set
-sharpens both once the splitting is near the solution.
+Newton runs first: a projected semismooth Newton ascent on the Fenchel dual
+(a primal-dual active-set method in the sense of Hintermueller-Ito-Kunisch,
+SIAM J. Optim. 2002), seeded with the warm multiplier or with the obstacle
+scaled along its optimal ray. Only when that does not certify does a
+Chambolle-Pock splitting (JMIV 2011) run, with step sizes from power
+iteration on the constraint operator and Newton polishes at geometrically
+growing intervals. Certificates never rely on the raw iterates: the primal
+value is evaluated at an exactly rescaled feasible point, and the gap against
+the Fenchel dual value of a nonnegative multiplier.
+
+The iteration budget counts every step that applies the operator: the seed
+of each Newton run, each Newton step, each conjugate-gradient step and each
+Chambolle-Pock step.
 """
 
 from __future__ import annotations
@@ -72,100 +80,129 @@ def _prox_power(g: np.ndarray, theta: float, s: float) -> np.ndarray:
     return out
 
 
-def _dual_value(lam: np.ndarray, a: np.ndarray, b: np.ndarray, c: float, s: float) -> float:
-    """Best Fenchel dual value along the ray t*lam, using a = K lam.
+def _ray(lam: np.ndarray, a: np.ndarray, b: np.ndarray, c: float, s: float):
+    """Best scaling t >= 0 of lam for the Fenchel dual, and the dual value at t*lam.
 
-    g(lam) = <lam, b> - (1 - 1/s) (c s)^(-1/(s-1)) sum (a_+)^(s/(s-1)),
-    maximized in closed form over the scaling t >= 0.
+    g(lam) = <lam, b> - (1 - 1/s) (c s)^(-1/(s-1)) sum (a_+)^(s/(s-1)) with
+    a = K lam, maximized in closed form over the ray t*lam.
     """
     B = float(np.sum(lam * b))
     sp = s / (s - 1.0)
     D = float((1.0 - 1.0 / s) * (c * s) ** (-1.0 / (s - 1.0)) * np.sum(np.maximum(a, 0.0) ** sp))
     if D <= 0.0 or B <= 0.0:
-        return 0.0
+        return 0.0, 0.0
     t = (B / (sp * D)) ** (s - 1.0)
-    return t * B - t**sp * D
+    return t, t * B - t**sp * D
 
 
-def _feasible_certificate(op_apply, u, b, active, c, s, b_max):
-    """Rescale u onto the constraint set exactly; return (f, value, residual, Kf)."""
-    Ku = op_apply(u)
-    ratio = b[active] / Ku[active]
-    if not np.all(np.isfinite(ratio)):
+def _primal(a: np.ndarray, c: float, s: float) -> np.ndarray:
+    """Stationary primal point f(a) = (a_+/(c s))^(1/(s-1)) of the Lagrangian, a = K lam."""
+    return (np.maximum(a, 0.0) / (c * s)) ** (1.0 / (s - 1.0))
+
+
+def _certificate(u, Ku, lam, a, b, active, c, s, b_max):
+    """Certify the pair (u, lam), given Ku = K u and a = K lam.
+
+    u is rescaled onto the constraint set exactly; lam is moved to its optimal
+    ray point, whose Fenchel dual value bounds the optimum from below. Returns
+    (gap_rel, f, value, residual, dual, multiplier), or None when K u <= 0
+    somewhere on {b > 0}.
+    """
+    Ku_act = Ku[active]
+    if not np.all(Ku_act > 0.0):
         return None
-    gamma = float(np.max(ratio))
-    if gamma <= 0.0 or not math.isfinite(gamma):
-        return None
+    gamma = float(np.max(b[active] / Ku_act))
     f = gamma * u
-    Kf = gamma * Ku
     value = float(c * np.sum(f**s))
-    residual = float(np.max(np.maximum(b[active] - Kf[active], 0.0)) / b_max)
-    return f, value, residual, Kf
+    residual = float(np.max(np.maximum(b[active] - gamma * Ku_act, 0.0)) / b_max)
+    t, dual = _ray(lam, a, b, c, s)
+    return (value - dual) / max(value, 1.0), f, value, residual, dual, t * lam
 
 
-def _newton_polish(op_apply, b, active, lam0, u_hint, c, s, shape,
-                   rounds: int = 25, cg_tol: float = 1e-12):
-    """Semi-smooth Newton on the dual of the active-set-restricted program.
+def _better(best, cert):
+    if cert is not None and (best is None or cert[0] < best[0]):
+        return cert
+    return best
+
+
+def _accepted(best, tol: float) -> bool:
+    return best is not None and best[0] <= tol and best[3] <= tol
+
+
+def _newton_polish(op_apply, b, active, lam0, c, s, b_max, tol, budget):
+    """Projected semismooth Newton ascent on the Fenchel dual from lam0.
+
+    lam0 is nonnegative and vanishes off the active set {b > 0}.
 
     Stationarity gives f(a) = (a_+/(c s))^(1/(s-1)) with a = K lam; the dual
-    gradient on the active set is b - K f(a). Each Newton step solves the SPD
-    system (K diag(f'(a)) K) d = grad by conjugate gradients, matrix-free.
+    gradient on the active set is b - K f(a). Multipliers at zero whose
+    gradient points outward stay at zero. On the remaining free set each step
+    solves (K diag(f'(a)) K) d = grad by conjugate gradients, matrix-free, and
+    backtracks along the projected step until the ray-optimal dual value
+    rises. Every iterate, scaled along its optimal ray, is certified together
+    with its primal point f(a).
+
+    Stops once a certificate is accepted, the budget is spent or no ascent
+    step is found. The seed, each Newton step and each CG step count one
+    against the budget. Returns (best certificate or None, steps used).
     """
-    cs = c * s
     expo = 1.0 / (s - 1.0)
-
-    def primal_from(a):
-        return (np.maximum(a, 0.0) / cs) ** expo
-
-    def dual_of(lam):
-        a = op_apply(lam)
-        return _dual_value(lam, a, b, c, s), a
-
-    lam = np.where(active, np.maximum(lam0, 0.0), 0.0)
-    best_dual, a = dual_of(lam)
-    for _ in range(rounds):
-        fa = primal_from(a)
-        grad = np.where(active, b - op_apply(fa), 0.0)
-        gnorm = float(np.max(np.abs(grad[active]))) if np.any(active) else 0.0
-        if gnorm <= 1e-13 * max(1.0, float(np.max(b))):
+    a = op_apply(lam0)
+    t, dual = _ray(lam0, a, b, c, s)
+    lam, a = t * lam0, t * a
+    steps = 1
+    best = None
+    while True:
+        u = _primal(a, c, s)
+        Ku = op_apply(u)
+        best = _better(best, _certificate(u, Ku, lam, a, b, active, c, s, b_max))
+        if _accepted(best, tol) or steps >= budget:
             break
-        with np.errstate(invalid="ignore"):
-            fprime = np.where(a > 0.0, expo * (np.maximum(a, 0.0) / cs) ** (expo - 1.0) / cs, 0.0)
+        grad = np.where(active, b - Ku, 0.0)
+        free = active & ((lam > 0.0) | (grad > 0.0))
+        fprime = expo * np.divide(u, a, out=np.zeros_like(a), where=a > 0.0)   # f'(a)
 
         def hess_mv(v):
             vv = np.zeros_like(b)
-            vv[active] = v
-            return (op_apply(fprime * op_apply(vv)))[active]
+            vv[free] = v
+            return op_apply(fprime * op_apply(vv))[free]
 
-        rhs = grad[active]
-        d = _cg(hess_mv, rhs, tol=cg_tol, max_iter=400)
+        steps += 1
+        d, cg_steps = _cg(hess_mv, grad[free], tol=1e-12, max_iter=budget - steps)
+        steps += cg_steps
+        if not np.any(d):
+            break
         step = np.zeros_like(b)
-        step[active] = d
-        t = 1.0
+        step[free] = d
+        t_step = 1.0
         improved = False
         for _ in range(25):
-            lam_try = np.maximum(lam + t * step, 0.0)
-            dual_try, a_try = dual_of(lam_try)
-            if dual_try > best_dual * (1.0 + 1e-15) or (best_dual <= 0 and dual_try > best_dual):
-                lam, a, best_dual = lam_try, a_try, dual_try
+            lam_try = np.maximum(lam + t_step * step, 0.0)
+            a_try = op_apply(lam_try)
+            t, dual_try = _ray(lam_try, a_try, b, c, s)
+            if dual_try > dual * (1.0 + 1e-15) or (dual <= 0 and dual_try > dual):
+                lam, a, dual = t * lam_try, t * a_try, dual_try
                 improved = True
                 break
-            t *= 0.5
+            t_step *= 0.5
         if not improved:
             break
-    return lam, best_dual, primal_from(a)
+    return best, steps
 
 
 def _cg(mv, rhs, tol, max_iter):
+    """Conjugate gradients from zero; returns (solution, iterations)."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
     rs = float(r @ r)
     if rs == 0.0:
-        return x
+        return x, 0
     rhs_norm = math.sqrt(rs)
-    for _ in range(max_iter):
+    k = 0
+    while k < max_iter:
         Ap = mv(p)
+        k += 1
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             break
@@ -177,7 +214,57 @@ def _cg(mv, rhs, tol, max_iter):
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x
+    return x, k
+
+
+def _chambolle_pock(op_apply, b, active, c, s, b_max, tol, u0, lam0, budget):
+    """Chambolle-Pock splitting from (u0, lam0), polished by Newton after 1, 2, 4, ... steps.
+
+    Step sizes come from power iteration on the restricted operator. At each
+    polish the iterate pair (u, -y) is certified, then Newton runs from the
+    multiplier -y. Returns (best certificate or None, steps used).
+    """
+    # operator norm of the restricted map via power iteration (deterministic start)
+    v = np.where(active, b, 0.0)
+    v /= np.linalg.norm(v)
+    lam_max_sq = 1.0
+    for _ in range(50):
+        w = op_apply(np.where(active, op_apply(v), 0.0))
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:
+            break
+        lam_max_sq = nrm
+        v = w / nrm
+    L = math.sqrt(lam_max_sq) * 1.05
+    tau = math.sqrt(0.9) / L
+    sigma = math.sqrt(0.9) / L
+    theta_prox = tau * c
+
+    u, y = u0.copy(), -lam0
+    u_bar = u.copy()
+    best = None
+    steps = 0
+    interval = 1
+    while steps < budget:
+        for _ in range(min(interval, budget - steps)):
+            y = np.where(active, np.minimum(y + sigma * (op_apply(u_bar) - b), 0.0), 0.0)
+            g = u - tau * op_apply(y)
+            u_new = _prox_power(g, theta_prox, s)
+            u_bar = 2.0 * u_new - u
+            u = u_new
+            steps += 1
+        interval *= 2
+        lam = -y
+        best = _better(best, _certificate(u, op_apply(u), lam, op_apply(lam), b, active,
+                                          c, s, b_max))
+        if _accepted(best, tol) or steps >= budget:
+            break
+        cert, used = _newton_polish(op_apply, b, active, lam, c, s, b_max, tol, budget - steps)
+        steps += used
+        best = _better(best, cert)
+        if _accepted(best, tol):
+            break
+    return best, steps
 
 
 def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
@@ -185,10 +272,18 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
                      warm=None) -> ProgramResult:
     """Solve the obstacle program; `obstacle` is a grid-shaped nonnegative array.
 
-    Stops once the feasible-point value and the dual certificate agree to
-    gap <= tol * max(value, 1) (with the feasibility residual at rounding
-    level by construction). On budget exhaustion the best certified feasible
-    value is returned with converged=False.
+    `warm` is an (extremal, -multiplier) pair from an earlier solve; only its
+    multiplier is used, as the Newton seed when it is nonzero on {b > 0}.
+    Otherwise the seed is the obstacle itself, scaled along its optimal ray.
+    If the Newton run does not certify, Chambolle-Pock takes over and is
+    polished by Newton at geometrically growing intervals.
+
+    A result is accepted only on its certificates: gap <= tol * max(value, 1)
+    between the value at an exactly rescaled feasible point and a Fenchel dual
+    bound, and feasibility residual <= tol. `max_iter` bounds the operator-
+    applying steps (Newton seeds, Newton, CG and Chambolle-Pock steps), which
+    are reported as `iterations`. On budget exhaustion the best certified
+    feasible value is returned with converged=False.
     """
     grid = table.grid
     if obstacle.shape != grid.shape:
@@ -197,6 +292,8 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
         raise ValueError("obstacle must be nonnegative")
     if not s > 1:
         raise ValueError(f"s must exceed 1, got {s}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     b = np.asarray(obstacle, dtype=float)
     active = b > 0
     zero = np.zeros(grid.shape)
@@ -209,73 +306,22 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
     def op(v):
         return apply_kernel(table, v)
 
-    # operator norm of the restricted map via power iteration (deterministic start)
-    v = np.where(active, b, 0.0)
-    v /= np.linalg.norm(v)
-    lam_max_sq = 1.0
-    for _ in range(50):
-        w = op(np.where(active, op(v), 0.0))
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            break
-        lam_max_sq = nrm
-        v = w / nrm
-    L = math.sqrt(lam_max_sq) * 1.05
-    tau = math.sqrt(0.9) / L
-    sigma = math.sqrt(0.9) / L
+    lam = None
+    if warm is not None and warm[1] is not None:
+        lam = np.where(active, np.maximum(-np.asarray(warm[1], dtype=float), 0.0), 0.0)
+    if lam is None or not np.any(lam > 0.0):
+        lam = b
+    best, iterations = _newton_polish(op, b, active, lam, c, s, b_max, tol, max_iter)
 
-    if warm is not None:
-        u = np.array(warm[0], dtype=float)
-        y = np.where(active, np.asarray(warm[1], dtype=float), 0.0) if warm[1] is not None else zero.copy()
-        y = np.minimum(y, 0.0)
-    else:
-        u = zero.copy()
-        y = zero.copy()
-    u_bar = u.copy()
-
-    best = None          # (gap_rel, f, value, residual, dual, lam)
-    iterations = 0
-    check_every = 50
-    polish_from = 50 if warm is not None else 150
-    theta_prox = tau * c
-
-    while iterations < max_iter:
-        chunk = min(check_every, max_iter - iterations)
-        for _ in range(chunk):
-            y = np.where(active, np.minimum(y + sigma * (op(u_bar) - b), 0.0), 0.0)
-            g = u - tau * op(y)
-            u_new = _prox_power(g, theta_prox, s)
-            u_bar = 2.0 * u_new - u
-            u = u_new
-            iterations += 1
-
-        lam = -y
-        cert = _feasible_certificate(op, u, b, active, c, s, b_max)
-        dual = _dual_value(lam, op(lam), b, c, s)
-        if cert is not None:
-            f, value, residual, _ = cert
-            gap = value - dual
-            gap_rel = gap / max(value, 1.0)
-            if best is None or gap_rel < best[0]:
-                best = (gap_rel, f, value, residual, dual, lam)
-            if gap_rel <= tol and residual <= tol:
-                break
-        if iterations >= polish_from and best is not None:
-            lam_p, dual_p, u_p = _newton_polish(op, b, active, lam, u, c, s, grid.shape)
-            cert_p = _feasible_certificate(op, u_p, b, active, c, s, b_max)
-            if cert_p is not None:
-                f_p, value_p, residual_p, _ = cert_p
-                gap_p = value_p - dual_p
-                gap_rel_p = gap_p / max(value_p, 1.0)
-                if gap_rel_p < best[0]:
-                    best = (gap_rel_p, f_p, value_p, residual_p, dual_p, lam_p)
-                if gap_rel_p <= tol and residual_p <= tol:
-                    break
+    if not _accepted(best, tol) and iterations < max_iter:
+        u0, lam0 = (best[1], best[5]) if best is not None else (zero, lam)
+        cert, used = _chambolle_pock(op, b, active, c, s, b_max, tol, u0, lam0,
+                                     max_iter - iterations)
+        best = _better(best, cert)
+        iterations += used
 
     if best is None:
-        return ProgramResult(zero, 0.0, float(np.max(b) / b_max), math.inf, 0.0,
-                             iterations, False)
+        return ProgramResult(zero, 0.0, 1.0, math.inf, 0.0, iterations, False)
     gap_rel, f, value, residual, dual, lam = best
-    converged = gap_rel <= tol and residual <= tol
     return ProgramResult(f, value, residual, max(value - dual, 0.0), dual,
-                         iterations, converged, lam)
+                         iterations, _accepted(best, tol), lam)

@@ -15,8 +15,7 @@ def test_empty_set_capacity(g64, params):
     assert np.all(res.extremal.values == 0)
 
 
-def test_capacity_against_interior_point_oracle(g64, params):
-    cp = pytest.importorskip("cvxpy")
+def test_capacity_against_interior_point_oracle(g64, params, capacity_qp):
     E = ball_mask(g64, 0.25)
     mine = capacity(E, params, tol=1e-9)
     assert mine.converged
@@ -27,10 +26,8 @@ def test_capacity_against_interior_point_oracle(g64, params):
     N, h = g64.points_per_axis, g64.spacing
     K = np.array([table.values[i:i + N][::-1] * h for i in range(N)])
     idx = np.where(E.members)[0]
-    f = cp.Variable(N, nonneg=True)
-    prob = cp.Problem(cp.Minimize(h * cp.sum_squares(f)), [K[idx] @ f >= 1])
-    prob.solve(solver=cp.CLARABEL)
-    assert abs(mine.value - prob.value) / prob.value <= 1e-6
+    oracle = capacity_qp(K, idx, h)
+    assert abs(mine.value - oracle) / oracle <= 1e-6
 
 
 def test_capacity_result_invariants(g64, params):
@@ -203,6 +200,7 @@ def test_norm_estimate_validation():
 
 
 def test_solver_budget_degradation(g64, params):
-    res = capacity(ball_mask(g64, 0.25), params, tol=1e-12, max_iter=30)
+    res = capacity(ball_mask(g64, 0.25), params, tol=1e-12, max_iter=5)
     assert not res.converged
+    assert res.iterations <= 5
     assert res.value > 0 and math.isfinite(res.gap)
