@@ -52,7 +52,6 @@ class RunConfig:
     tol: float = 1e-6
     seed: int = DEFAULT_FAMILY_SEED
     levels: int = 48
-    threads: int = 0
     output: str | None = None
     check: str | None = None
     family: str = "mixed"
@@ -96,7 +95,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--tol", type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--levels", type=int)
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--output")
     parser.add_argument("--check")
     parser.add_argument("--family")
@@ -131,7 +129,7 @@ def _load_config_file(path: str) -> dict:
 
 
 _CONFIG_TYPES = {
-    "n": int, "N": int, "seed": int, "levels": int, "threads": int, "count": int,
+    "n": int, "N": int, "seed": int, "levels": int, "count": int,
     "alpha": float, "s": float, "q": float, "p": float, "r": float, "L": float,
     "tol": float, "t": float, "R": float,
 }

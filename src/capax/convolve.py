@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["wrap_from_centered", "fft_linear_convolve", "direct_linear_convolve", "linear_convolve"]
+__all__ = ["wrap_from_centered", "fft_linear_convolve", "direct_linear_convolve"]
 
 
 def wrap_from_centered(centered: np.ndarray) -> np.ndarray:
@@ -50,11 +50,3 @@ def direct_linear_convolve(values: np.ndarray, centered: np.ndarray) -> np.ndarr
         out[idx] = np.sum(block[rev] * values)
     return out
 
-
-def linear_convolve(values: np.ndarray, centered: np.ndarray, method: str = "fast",
-                    kernel_rfft=None) -> np.ndarray:
-    if method == "fast":
-        return fft_linear_convolve(values, centered, kernel_rfft)
-    if method == "direct":
-        return direct_linear_convolve(values, centered)
-    raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")

@@ -75,18 +75,27 @@ class KernelTable:
         self.values.flags.writeable = False
 
     @cached_property
-    def offset_radii(self) -> np.ndarray:
-        N, h = self.grid.points_per_axis, self.grid.spacing
-        ax = (np.arange(2 * N - 1) - (N - 1)) * h
-        grids = np.meshgrid(*([ax] * self.grid.dim), indexing="ij")
-        return np.sqrt(sum(g**2 for g in grids))
-
-    @cached_property
     def padded_rfft(self) -> np.ndarray:
         """Cached real FFT of the wrap-around layout (period 2N per axis)."""
         shape = (2 * self.grid.points_per_axis,) * self.grid.dim
         axes = tuple(range(self.grid.dim))
         return np.fft.rfftn(wrap_from_centered(self.values), s=shape, axes=axes)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """Read-only h^n-weighted operator matrix on flattened grid values.
+
+        Entry (i, j) is the centered table at offset i - j, i.e. at index
+        i - j + (N-1) per axis. It holds grid.size^2 entries, so it is built
+        only when first used.
+        """
+        shape = self.values.shape
+        # ravel is linear, so pos(i) - pos(j) + center is the flat index of offset i - j
+        pos = np.ravel_multi_index(np.indices(self.grid.shape).reshape(self.grid.dim, -1), shape)
+        center = np.ravel_multi_index((self.grid.points_per_axis - 1,) * self.grid.dim, shape)
+        mat = self.values.ravel()[np.subtract.outer(pos, pos) + center] * self.grid.cell_volume
+        mat.flags.writeable = False
+        return mat
 
 
 def _offset_radii(grid: Grid) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .convolve import fft_linear_convolve
 from .grid import Field, Grid
+from .kernels import _offset_radii
 
 __all__ = ["maximal_function", "a1_constant", "dyadic_radii", "ball_stencil"]
 
@@ -46,11 +47,7 @@ def _ball_average_1d(grid: Grid, values: np.ndarray, radius: float) -> np.ndarra
 
 def ball_stencil(grid: Grid, radius: float) -> np.ndarray:
     """Centered 0/1 stencil of lattice offsets with |z| h <= radius."""
-    N, h = grid.points_per_axis, grid.spacing
-    ax = (np.arange(2 * N - 1) - (N - 1)) * h
-    grids = np.meshgrid(*([ax] * grid.dim), indexing="ij")
-    rr = np.sqrt(sum(g**2 for g in grids))
-    return (rr <= radius * (1.0 + 1e-12)).astype(float)
+    return (_offset_radii(grid) <= radius * (1.0 + 1e-12)).astype(float)
 
 
 def _ball_average_nd(grid: Grid, values: np.ndarray, radius: float) -> np.ndarray:

@@ -24,15 +24,25 @@ __all__ = [
 
 
 def apply_kernel(table: KernelTable, values: np.ndarray, method: str = "fast") -> np.ndarray:
-    """h^n-weighted linear convolution of grid values with a kernel table."""
+    """h^n-weighted linear convolution of grid values with a kernel table.
+
+    Methods: "fast" is the zero-padded FFT with the table's cached spectrum;
+    "direct" is O(N^{2n}) summation, kept as a test oracle; "dense" multiplies
+    by the table's cached operator matrix, which is quicker on small grids.
+    The potential wrappers below default to "fast" on every grid: the dense
+    product rounds differently, and the Choquet integral of a potential is
+    sensitive to rounding-level ties between its node values.
+    """
     if values.shape != table.grid.shape:
         raise ValueError("incompatible grids: field shape does not match kernel table")
+    if method == "dense":
+        return (table.dense @ values.ravel()).reshape(values.shape)
     if method == "fast":
         out = fft_linear_convolve(values, table.values, kernel_rfft=table.padded_rfft)
     elif method == "direct":
         out = direct_linear_convolve(values, table.values)
     else:
-        raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
+        raise ValueError(f"method must be 'fast', 'direct' or 'dense', got {method!r}")
     return out * table.grid.cell_volume
 
 

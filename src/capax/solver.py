@@ -2,8 +2,13 @@
 Chambolle-Pock fallback.
 
 Solves   min  h^n sum_i f_i^s   s.t.  (K f)(x) >= b(x) on {b > 0},  f >= 0,
-where K is a tabulated (Riesz or Bessel) convolution operator applied with
-FFTs. The objective is strictly convex, so the minimizer is unique.
+where K is a tabulated (Riesz or Bessel) convolution operator. On grids of
+at most DENSE_MAX_NODES nodes K is applied as the table's cached dense matrix,
+above that with FFTs. The objective is strictly convex, so the minimizer is
+unique. The certificates are computed with the same operator as the
+iterates, so the choice does not affect acceptance; `potential()` stays on
+the FFT because Choquet integrals of potentials are sensitive to the
+rounding-level ties that the two products resolve differently.
 
 Newton runs first: a projected semismooth Newton ascent on the Fenchel dual
 (a primal-dual active-set method in the sense of Hintermueller-Ito-Kunisch,
@@ -31,6 +36,12 @@ from .kernels import KernelTable
 from .potentials import apply_kernel
 
 __all__ = ["ProgramResult", "obstacle_program"]
+
+# Largest grid (in nodes) on which K is applied as a dense matrix. One apply,
+# dense against FFT (2-core x86-64, numpy 2.4): n=1 N=256 10.9 vs 26.6 us,
+# N=512 65.0 vs 28.2 us; n=2 N=16 8.6 vs 46.5 us, N=32 206 vs 88 us. The
+# crossover lies between 256 and 512 nodes; at 256 the matrix takes 512 KB.
+DENSE_MAX_NODES = 256
 
 
 @dataclass
@@ -303,8 +314,10 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
     c = grid.cell_volume
     b_max = float(np.max(b))
 
+    method = "dense" if grid.size <= DENSE_MAX_NODES else "fast"
+
     def op(v):
-        return apply_kernel(table, v)
+        return apply_kernel(table, v, method)
 
     lam = None
     if warm is not None and warm[1] is not None:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,33 @@ def test_cli_byte_reproducible(tmp_path):
     assert run_cli(*args, "--output", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_cli_byte_reproducible_across_processes(tmp_path):
+    # n=1, N=64 solves with the dense operator, so BLAS is on this path
+    import capax
+
+    src = str(Path(capax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for run in ("a", "b"):
+        subprocess.run([sys.executable, "-m", "capax.cli", "capacity",
+                        "--set", "ball:0.25+cube:0.6", "--n", "1", "--N", "64",
+                        "--alpha", "0.4", "--s", "1.5",
+                        "--output", str(tmp_path / f"{run}.json"),
+                        "--extremal-out", str(tmp_path / f"{run}.extremal.json")],
+                       env=env, check=True, capture_output=True)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert ((tmp_path / "a.extremal.json").read_bytes()
+            == (tmp_path / "b.extremal.json").read_bytes())
+
+
+def test_threads_flag_removed(tmp_path, capsys):
+    assert run_cli("capacity", "--set", "ball:0.2", "--N", "32", "--threads", "2") == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("set=ball:0.2\nN=32\nthreads=2\n")
+    assert run_cli("capacity", "--config", str(cfg)) == 1
+    capsys.readouterr()
 
 
 def test_verify_ibp_identity(tmp_path, capsys):

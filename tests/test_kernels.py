@@ -128,3 +128,12 @@ def test_singular_cell_average_identity():
         kernel_at_rho = riesz_gamma(n, alpha) * rho ** (alpha - n)
         assert abs(avg - (n / alpha) * kernel_at_rho) <= 1e-12 * avg
         assert avg > kernel_at_rho
+
+
+def test_dense_operator_matrix():
+    g = Grid(1, 1.0, 64)
+    table = riesz_kernel_table(g, 0.4)
+    N, h = g.points_per_axis, g.spacing
+    rows = np.array([table.values[i:i + N][::-1] * h for i in range(N)])
+    assert np.array_equal(table.dense, rows)
+    assert not table.dense.flags.writeable

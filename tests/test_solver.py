@@ -3,6 +3,7 @@ import pytest
 import capax.solver as solver
 from capax.capacity import capacity
 from capax.grid import Grid, Params, ball_mask, cube_mask
+from capax.potentials import apply_kernel
 
 
 def _frozen_polish(op_apply, b, active, lam0, c, s, b_max, tol, budget):
@@ -46,3 +47,29 @@ def test_newton_first_away_from_s2(n, N, alpha, kind, s, monkeypatch):
             fallback = capacity(E, P, kind, tol=tol)
         assert fallback.converged
         assert _agree(res.value, fallback.value, tol)
+
+
+@pytest.mark.parametrize("n,N,alpha,method", [(1, 64, 0.25, "dense"), (2, 16, 0.5, "dense"),
+                                              (1, 512, 0.25, "fast"), (2, 32, 0.5, "fast")])
+@pytest.mark.parametrize("kind", ["riesz", "bessel"])
+def test_size_selected_operator(n, N, alpha, method, kind, monkeypatch):
+    tol = 1e-6
+    E = ball_mask(Grid(n, 1.0, N), 0.3)
+    P = Params(n, alpha, 2.0)
+    used = set()
+
+    def recording_apply(table, values, how="fast"):
+        used.add(how)
+        return apply_kernel(table, values, how)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "apply_kernel", recording_apply)
+        res = capacity(E, P, kind, tol=tol)
+    assert used == {method}
+    assert res.converged
+    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "DENSE_MAX_NODES", 0)
+        fft = capacity(E, P, kind, tol=tol)
+    assert fft.converged
+    assert _agree(res.value, fft.value, tol)
