@@ -1,7 +1,22 @@
-"""Set capacities, Choquet integrals, weighted quasi-norms, and the obstacle norm."""
+"""Set capacities, Choquet integrals, weighted quasi-norms, and the obstacle norm.
+
+Every obstacle solve in the library goes through `_solve`. Inside a solve
+scope (`solve_scope`, or a function decorated with `scoped`) `_solve` keeps a
+memo, so each distinct obstacle program is solved once per scope: Choquet
+sweeps of different fields often share superlevel sets, and the evaluators
+in `spaces` rebuild the same witnesses. The outermost public entry points
+open the scope: the six `spaces` evaluators, `verify`'s checks and
+`run_check`, and `cli.run`; nested calls join the open scope and the memo is
+dropped when the outermost call returns, so results stay a pure function of
+the call's inputs. Outside a scope nothing is memoized. The scope also
+counts real solves, memo hits and solves that did not converge.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -19,6 +34,9 @@ __all__ = [
     "choquet_integral",
     "lq_cap_norm",
     "f_norm",
+    "SolveScope",
+    "solve_scope",
+    "scoped",
 ]
 
 
@@ -69,11 +87,84 @@ class NormEstimate:
         )
 
 
+@dataclass
+class SolveScope:
+    """Memo and solver counters of one solve scope."""
+
+    memo: dict = dataclass_field(default_factory=dict)
+    solves: int = 0          # calls that reached obstacle_program
+    memo_hits: int = 0
+    nonconverged: int = 0    # real solves that did not converge
+
+    def counts(self) -> dict:
+        return {"solves": self.solves, "memo_hits": self.memo_hits,
+                "nonconverged": self.nonconverged}
+
+    def since(self, before: dict) -> dict:
+        """Counts accumulated after `before` was taken with counts()."""
+        return {k: v - before[k] for k, v in self.counts().items()}
+
+
+_SCOPE: contextvars.ContextVar = contextvars.ContextVar("capax_solve_scope", default=None)
+
+
+@contextlib.contextmanager
+def solve_scope():
+    """Open a solve scope unless one is active; yields the active scope."""
+    scope = _SCOPE.get()
+    if scope is not None:
+        yield scope
+        return
+    scope = SolveScope()
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
+
+
+def scoped(fn):
+    """Run fn inside a solve scope (joining the active one, if any)."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with solve_scope():
+            return fn(*args, **kwargs)
+    return wrapper
+
+
 def _solve(params: Params, grid, obstacle, kind: str, tol: float, max_iter: int,
            warm=None) -> ProgramResult:
+    """Solve the obstacle program of `obstacle` on the (grid, alpha, kind) table.
+
+    Inside a solve scope the result is memoized under (grid, alpha, kind, s,
+    tol, max_iter, obstacle bytes as contiguous float64); the warm start is
+    not part of the key, so a repeated obstacle returns the first solve's
+    result whatever its warm start. Only converged results are stored, and a
+    stored result's arrays are read-only. A miss calls `obstacle_program`
+    through this module's binding. Outside a scope every call solves.
+    """
     params.validate_for(kind)
     table = kernel_table(grid, params.alpha, kind)
-    return obstacle_program(table, obstacle, params.s, tol=tol, max_iter=max_iter, warm=warm)
+    scope = _SCOPE.get()
+    if scope is None:
+        return obstacle_program(table, obstacle, params.s, tol=tol, max_iter=max_iter,
+                                warm=warm)
+    key = (grid, params.alpha, kind, params.s, tol, max_iter,
+           np.ascontiguousarray(obstacle, dtype=float).tobytes())
+    res = scope.memo.get(key)
+    if res is not None:
+        scope.memo_hits += 1
+        return res
+    res = obstacle_program(table, obstacle, params.s, tol=tol, max_iter=max_iter, warm=warm)
+    scope.solves += 1
+    if not res.converged:
+        scope.nonconverged += 1
+        return res
+    for arr in (res.extremal, res.multiplier):
+        if arr is not None:
+            arr.setflags(write=False)
+    scope.memo[key] = res
+    return res
 
 
 def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
@@ -112,6 +203,8 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
     set, and the flat piece below the smallest positive value uses the
     capacity of the support exactly.
     """
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
     vals = g.values
     if np.any(vals < 0):
         raise ValueError("choquet_integral expects a nonnegative field")
@@ -174,6 +267,8 @@ def lq_cap_norm(u: Field, q: float, params: Params, kind: str = "riesz",
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
     scale = float(np.max(np.abs(u.values)))
     if scale == 0.0:
         return 0.0

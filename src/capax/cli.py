@@ -3,12 +3,12 @@
 One command per process: parse flags (optionally seeded from a flat
 key=value config file, flags win), dispatch to the library, print a short
 human summary, and write machine output only when --output is given. A
-manifest with the config echo, library versions, and wall time is written
-next to each output file; result files themselves contain no timing, so a
-rerun of the same config is byte-identical.
+manifest with the config echo, library versions, wall time and solver counts
+is written next to each output file; result files themselves contain no
+timing, so a rerun of the same config is byte-identical.
 
-Exit codes: 0 success, 1 invalid input, 2 solver-budget degradation
-(results still written, flagged).
+Exit codes: 0 success, 1 invalid input, 2 solver-budget degradation: some
+obstacle solve did not converge (results still written, flagged).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .capacity import CapacityResult, capacity, choquet_integral, f_norm, lq_cap_norm
+from .capacity import capacity, choquet_integral, f_norm, lq_cap_norm, solve_scope
 from .families import DEFAULT_FAMILY_SEED
 from .grid import (Field, Grid, Mask, Params, annulus_mask, ball_mask, cube_mask,
                    field_from_json, field_to_json, mask_from_json)
@@ -204,7 +204,7 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _write_manifest(cfg: RunConfig, output: str, wall_time: float):
+def _write_manifest(cfg: RunConfig, output: str, wall_time: float, solver: dict):
     import scipy
 
     manifest = {
@@ -212,14 +212,32 @@ def _write_manifest(cfg: RunConfig, output: str, wall_time: float):
         "versions": {"capax": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "wall_time_s": wall_time,
+        "solver": solver,
     }
     _write(output + ".manifest.json", json.dumps(manifest, indent=2))
 
 
 def run(cfg: RunConfig) -> int:
-    """Dispatch one command; returns the process exit status."""
+    """Dispatch one command; returns the process exit status.
+
+    The command runs in one solve scope, so each distinct obstacle program is
+    solved once; any solve that did not converge makes the status 2.
+    """
     start = time.monotonic()
-    outputs = []          # (path, text)
+    with solve_scope() as scope:
+        before = scope.counts()
+        outputs, degraded = _execute(cfg)
+        solver = scope.since(before)
+    for path, text in outputs:
+        _write(path, text)
+    if cfg.output:
+        _write_manifest(cfg, cfg.output, time.monotonic() - start, solver)
+    return 2 if degraded or solver["nonconverged"] else 0
+
+
+def _execute(cfg: RunConfig) -> tuple:
+    """Run the command; returns the (path, text) outputs and the degraded flag."""
+    outputs = []
     degraded = False
 
     if cfg.command == "capacity":
@@ -344,12 +362,7 @@ def run(cfg: RunConfig) -> int:
 
     else:
         raise ValueError(f"unknown command {cfg.command!r}")
-
-    for path, text in outputs:
-        _write(path, text)
-    if cfg.output:
-        _write_manifest(cfg, cfg.output, time.monotonic() - start)
-    return 2 if degraded else 0
+    return outputs, degraded
 
 
 def main(argv=None) -> int:

@@ -8,7 +8,8 @@ bounds that would require the papers' implicit constants are flagged
 'heuristic-lower' and excluded from hard assertions.
 
 All evaluators normalize their input first and rescale the result, so
-absolute homogeneity holds exactly.
+absolute homogeneity holds exactly. Each evaluator runs in a solve scope
+(see `capacity`), so an obstacle program it meets twice is solved once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import NormEstimate, choquet_integral, lq_cap_norm, _solve
+from .capacity import NormEstimate, choquet_integral, lq_cap_norm, scoped, _solve
 from .families import DEFAULT_FAMILY_SEED, field_family
 from .grid import Field, Grid, Params, integrate, lp_norm
 from .maximal import a1_constant
@@ -112,6 +113,7 @@ def _dyadic_cube_ratio(f_pow: np.ndarray, grid: Grid, params: Params, kind: str,
     return best, best_size
 
 
+@scoped
 def m_norm(f: Field, params: Params, kind: str = "riesz", budget: int = 32,
            seed: int = DEFAULT_FAMILY_SEED, tol: float = 1e-6,
            levels: int = 32) -> NormEstimate:
@@ -176,6 +178,7 @@ def _otilde_objective(g_abs: np.ndarray, w: np.ndarray, q: float, s: float,
     return float((cell * np.sum(g_abs[nz] ** s * w[nz] ** (q - s))) ** (1.0 / s))
 
 
+@scoped
 def otilde_norm(g: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
                 levels: int = 32, max_rounds: int = 4,
                 extra_witnesses: tuple = ()) -> NormEstimate:
@@ -249,6 +252,7 @@ def _kv_objective(h: np.ndarray, grid: Grid, params: Params, kind: str) -> float
     return float((grid.cell_volume * np.sum(integrand)) ** (1.0 / q))
 
 
+@scoped
 def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
             levels: int = 32, descent_steps: int = 6,
             extra_majorants: tuple = ()) -> NormEstimate:
@@ -326,6 +330,7 @@ def _n_objective(g_abs: np.ndarray, w: np.ndarray, p_conj: float, cell: float) -
     return float((cell * np.sum(g_abs[nz] ** p_conj * w[nz] ** (1.0 - p_conj))) ** (1.0 / p_conj))
 
 
+@scoped
 def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain",
            tol: float = 1e-6, levels: int = 32, budget: int = 8,
            seed: int = DEFAULT_FAMILY_SEED, max_rounds: int = 3,
@@ -450,12 +455,14 @@ def _lambda_beta(u: Field, params: Params, kind: str, tol: float, levels: int,
     )
 
 
+@scoped
 def lambda_functional(u: Field, params: Params, kind: str = "riesz",
                       tol: float = 1e-6, levels: int = 32) -> NormEstimate:
     """Least O-norm of a nonnegative f whose potential dominates |u| at nodes."""
     return _lambda_beta(u, params, kind, tol, levels, "lambda")
 
 
+@scoped
 def beta_functional(u: Field, params: Params, kind: str = "riesz",
                     tol: float = 1e-6, levels: int = 32) -> NormEstimate:
     """Least mixed s-q integral of such a majorizing f."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .capacity import capacity, choquet_integral, lq_cap_norm, _solve
+from .capacity import capacity, choquet_integral, lq_cap_norm, scoped, solve_scope
 from .families import DEFAULT_FAMILY_SEED, family, field_family, measure_family
 from .grid import Field, Grid, Mask, Params, integrate, lp_norm
 from .potentials import Measure, potential, wolff_at_points, wolff_potential
@@ -84,6 +84,7 @@ def _ratio(lhs: float, rhs: float) -> tuple:
 
 # -- capacitary strong type inequalities ----------------------------------------
 
+@scoped
 def check_adams(q: float, params: Params, fields, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                 tol: float = 1e-6) -> ConstantReport:
@@ -106,6 +107,7 @@ def check_adams(q: float, params: Params, fields, kind: str = "riesz",
     return _finish("adams", params.replace(q=q), seed, samples)
 
 
+@scoped
 def check_csim(params: Params, fields, kind: str = "riesz",
                seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                tol: float = 1e-6) -> ConstantReport:
@@ -135,6 +137,7 @@ def main2_pairs(grid: Grid, params: Params, count: int, kind: str = "riesz",
     return pairs
 
 
+@scoped
 def check_main2(q: float, params: Params, pairs, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                 tol: float = 1e-6) -> ConstantReport:
@@ -165,6 +168,7 @@ def check_main2(q: float, params: Params, pairs, kind: str = "riesz",
     return _finish("main2", p, seed, samples)
 
 
+@scoped
 def check_ibp(t: float, params: Params, fields, kind: str = "riesz",
               seed: int = DEFAULT_FAMILY_SEED) -> ConstantReport:
     """Pointwise integrating-by-parts bound (I f)^t <= A * I[f (I f)^(t-1)]."""
@@ -190,6 +194,7 @@ def check_ibp(t: float, params: Params, fields, kind: str = "riesz",
 
 # -- Wolff potential checks ------------------------------------------------------
 
+@scoped
 def check_boundedness(mu_family, params: Params, R: float = math.inf,
                       seed: int = DEFAULT_FAMILY_SEED) -> ConstantReport:
     """Global max of W^R against 2^((n - alpha s)/(s-1)) times the supp max of W^(2R)."""
@@ -245,6 +250,7 @@ def _deposited_density(mu: Measure) -> np.ndarray:
     return dens
 
 
+@scoped
 def check_upper_tri(mu_family, params: Params, kind: str = "riesz",
                     seed: int = DEFAULT_FAMILY_SEED, budget: int = 8,
                     levels: int = 32, tol: float = 1e-6) -> ConstantReport:
@@ -320,6 +326,7 @@ def check_upper_tri(mu_family, params: Params, kind: str = "riesz",
     return _finish("upper_tri", params, seed, samples)
 
 
+@scoped
 def check_wolff_weak(mu: Measure, t: float, params: Params, kind: str = "riesz",
                      a_values=(2.0, 4.0, 8.0), tol: float = 1e-6,
                      seed: int = DEFAULT_FAMILY_SEED) -> ConstantReport:
@@ -354,6 +361,7 @@ def check_wolff_weak(mu: Measure, t: float, params: Params, kind: str = "riesz",
 
 # -- norm equivalence bands ------------------------------------------------------
 
+@scoped
 def check_newnorm2(q: float, u_family, params: Params, kind: str = "riesz",
                    seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                    tol: float = 1e-6) -> ConstantReport:
@@ -379,6 +387,7 @@ def check_newnorm2(q: float, u_family, params: Params, kind: str = "riesz",
     return _finish("newnorm2", p, seed, samples)
 
 
+@scoped
 def check_kv_equiv(q: float, g_family, params: Params, kind: str = "riesz",
                    seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                    tol: float = 1e-6) -> ConstantReport:
@@ -401,6 +410,7 @@ def check_kv_equiv(q: float, g_family, params: Params, kind: str = "riesz",
     return _finish("kv_equiv", p, seed, samples)
 
 
+@scoped
 def check_main3(p: float, r: float, pair_family, params: Params, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                 tol: float = 1e-6, budget: int = 8) -> ConstantReport:
@@ -431,7 +441,19 @@ def run_check(name: str, params: Params, grid: Grid, kind: str = "riesz",
 
     Reports are bit-reproducible from (name, params, seed, grid, count, levels).
     The `scale` knob multiplies the family, for homogeneity-invariance checks.
+    The whole check runs in one solve scope; `meta["solver"]` holds its counts
+    of real solves, memo hits and solves that did not converge.
     """
+    with solve_scope() as scope:
+        before = scope.counts()
+        report = _dispatch_check(name, params, grid, kind, seed, count, levels, tol,
+                                 scale, **kw)
+        report.meta["solver"] = scope.since(before)
+    return report
+
+
+def _dispatch_check(name, params, grid, kind, seed, count, levels, tol, scale,
+                    **kw) -> ConstantReport:
     def scaled_fields(fam):
         if scale == 1.0:
             return fam

@@ -1,12 +1,17 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
-from capax.capacity import NormEstimate, capacity, choquet_integral, f_norm, lq_cap_norm
+from capax.capacity import (NormEstimate, capacity, choquet_integral, f_norm, lq_cap_norm,
+                            solve_scope, _solve)
+from capax.kernels import kernel_table
 from capax.potentials import riesz_potential
+from capax.solver import obstacle_program
+from capax.spaces import n_norm
 
 
 def test_empty_set_capacity(g64, params):
@@ -204,3 +209,84 @@ def test_solver_budget_degradation(g64, params):
     assert not res.converged
     assert res.iterations <= 5
     assert res.value > 0 and math.isfinite(res.gap)
+
+
+def test_choquet_and_lq_cap_reject_zero_levels(g64, params):
+    ramp = Field(g64, np.linspace(0.0, 1.0, g64.points_per_axis), nonneg=True)
+    with pytest.raises(ValueError, match="levels"):
+        choquet_integral(ramp, params, levels=0)
+    with pytest.raises(ValueError, match="levels"):
+        lq_cap_norm(ramp, 1.5, params, levels=0)
+
+
+# -- solve memo -----------------------------------------------------------------
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Record every obstacle passed to the capacity module's obstacle_program."""
+    mod = sys.modules["capax.capacity"]     # the package attribute is the function
+    orig = mod.obstacle_program
+    calls = []
+
+    def recording(table, obstacle, s, **kw):
+        calls.append(np.array(obstacle, dtype=float))
+        return orig(table, obstacle, s, **kw)
+
+    monkeypatch.setattr(mod, "obstacle_program", recording)
+    return calls
+
+
+def test_memo_solves_repeated_obstacle_once(g64, params, solve_calls):
+    E = ball_mask(g64, 0.25)
+    with solve_scope() as scope:
+        first = capacity(E, params)
+        again = capacity(E, params, warm=capacity(ball_mask(g64, 0.2), params))
+    assert len(solve_calls) == 2          # E once, the warm start's set once
+    assert scope.counts() == {"solves": 2, "memo_hits": 1, "nonconverged": 0}
+    assert again.value == first.value
+    assert np.array_equal(again.extremal.values, first.extremal.values)
+
+
+def test_memo_does_not_leak_between_calls(g64, params, solve_calls):
+    g = Field(g64, np.exp(-g64.axis**2 / 0.08), nonneg=True)
+    P = params.replace(r=1.0)
+    a = n_norm(g, P, levels=16, budget=4)
+    first = len(solve_calls)
+    b = n_norm(g, P, levels=16, budget=4)
+    assert first > 0 and len(solve_calls) == 2 * first
+    assert (a.lower, a.upper) == (b.lower, b.upper)
+    solve_calls.clear()
+    n_norm.__wrapped__(g, P, levels=16, budget=4)    # no scope: every repeat re-solves
+    assert len(solve_calls) > first
+
+
+def test_memoized_result_is_read_only(g64, params):
+    obstacle = ball_mask(g64, 0.25).indicator().values
+    with solve_scope():
+        res = _solve(params, g64, obstacle, "riesz", 1e-6, 20000)
+    assert res.converged
+    assert not res.extremal.flags.writeable and not res.multiplier.flags.writeable
+    bare = _solve(params, g64, obstacle, "riesz", 1e-6, 20000)
+    assert bare.extremal.flags.writeable
+
+
+def test_memo_skips_unconverged_results(g64, params, solve_calls):
+    E = ball_mask(g64, 0.25)
+    with solve_scope() as scope:
+        r1 = capacity(E, params, tol=1e-12, max_iter=5)
+        r2 = capacity(E, params, tol=1e-12, max_iter=5)
+    assert not r1.converged and not r2.converged
+    assert len(solve_calls) == 2
+    assert scope.counts() == {"solves": 2, "memo_hits": 0, "nonconverged": 2}
+    assert scope.memo == {}
+
+
+def test_capacity_outside_scope_is_a_direct_solve(g64, params):
+    E = ball_mask(g64, 0.2) | cube_mask(g64, 0.3, center=[0.5])
+    res = capacity(E, params, tol=1e-7)
+    direct = obstacle_program(kernel_table(g64, params.alpha, "riesz"),
+                              E.indicator().values, params.s, tol=1e-7)
+    assert res.value == direct.value and res.gap == direct.gap
+    assert res.iterations == direct.iterations
+    assert np.array_equal(res.extremal.values, direct.extremal)
+    assert np.array_equal(res.dual, direct.multiplier)

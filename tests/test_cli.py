@@ -69,16 +69,26 @@ def test_cli_byte_reproducible_across_processes(tmp_path):
     src = str(Path(capax.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    g = Grid(1, 1.0, 64)
+    field = tmp_path / "field.json"
+    field.write_text(field_to_json(Field(g, np.exp(-g.axis**2 / 0.08), nonneg=True)))
+    commands = {
+        "cap": ["capacity", "--set", "ball:0.25+cube:0.6", "--alpha", "0.4", "--s", "1.5"],
+        # the lambda functional repeats superlevel sets, so it runs on memo hits
+        "lam": ["norm", "--norm", "lambda", "--input", str(field), "--alpha", "0.4",
+                "--s", "2", "--q", "1"],
+    }
     for run in ("a", "b"):
-        subprocess.run([sys.executable, "-m", "capax.cli", "capacity",
-                        "--set", "ball:0.25+cube:0.6", "--n", "1", "--N", "64",
-                        "--alpha", "0.4", "--s", "1.5",
-                        "--output", str(tmp_path / f"{run}.json"),
-                        "--extremal-out", str(tmp_path / f"{run}.extremal.json")],
-                       env=env, check=True, capture_output=True)
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-    assert ((tmp_path / "a.extremal.json").read_bytes()
-            == (tmp_path / "b.extremal.json").read_bytes())
+        for name, args in commands.items():
+            extra = (["--extremal-out", str(tmp_path / f"{run}.extremal.json")]
+                     if name == "cap" else [])
+            subprocess.run([sys.executable, "-m", "capax.cli", *args, "--n", "1", "--N", "64",
+                            "--output", str(tmp_path / f"{run}.{name}.json"), *extra],
+                           env=env, check=True, capture_output=True)
+    for name in (*commands, "extremal"):
+        assert ((tmp_path / f"a.{name}.json").read_bytes()
+                == (tmp_path / f"b.{name}.json").read_bytes())
+    assert json.loads((tmp_path / "a.lam.json.manifest.json").read_text())["solver"]["memo_hits"] > 0
 
 
 def test_threads_flag_removed(tmp_path, capsys):
@@ -197,3 +207,36 @@ def test_solver_degradation_exit_two(tmp_path, monkeypatch):
                    "--output", str(out))
     assert code == 2
     assert json.loads(out.read_text())["converged"] is False
+
+
+def test_zero_levels_exit_one(tmp_path, capsys):
+    g = Grid(1, 1.0, 64)
+    fpath = tmp_path / "ramp.json"
+    fpath.write_text(field_to_json(Field(g, np.linspace(0.0, 1.0, 64), nonneg=True)))
+    assert run_cli("choquet", "--input", str(fpath), "--N", "64", "--levels", "0") == 1
+    err = capsys.readouterr().err
+    assert "levels must be at least 1" in err and "Traceback" not in err
+    assert run_cli("norm", "--norm", "lqcap", "--q", "1.5", "--input", str(fpath),
+                   "--levels", "0") == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["choquet"], ["norm", "--norm", "lqcap", "--q", "1.5"]])
+def test_unconverged_solve_exits_two(tmp_path, monkeypatch, command):
+    mod = sys.modules["capax.capacity"]
+    orig = mod.obstacle_program
+
+    def small_budget(table, obstacle, s, **kw):
+        return orig(table, obstacle, s, **dict(kw, max_iter=1))
+
+    monkeypatch.setattr(mod, "obstacle_program", small_budget)
+    g = Grid(1, 1.0, 64)
+    fpath = tmp_path / "field.json"
+    fpath.write_text(field_to_json(ball_mask(g, 0.3).indicator()))
+    out = tmp_path / "out.json"
+    code = run_cli(*command, "--input", str(fpath), "--n", "1", "--N", "64",
+                   "--alpha", "0.4", "--s", "2", "--output", str(out))
+    assert code == 2
+    assert json.loads(out.read_text())["value"] > 0
+    manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+    assert manifest["solver"]["nonconverged"] > 0

@@ -150,6 +150,17 @@ def test_newnorm2_and_kv_bands(g64):
     assert max(s.ratio for s in done_kv) <= 10.0
 
 
+def test_run_check_reports_solver_counts(g64):
+    rep = run_check("newnorm2", P, g64, count=2, q=1.5, levels=16)
+    solver = rep.meta["solver"]
+    assert set(solver) == {"solves", "memo_hits", "nonconverged"}
+    assert solver["solves"] > 0 and solver["memo_hits"] > 0 and solver["nonconverged"] == 0
+    again = run_check("newnorm2", P, g64, count=2, q=1.5, levels=16)
+    assert again.meta["solver"] == solver
+    assert json.loads(report_to_json(rep))["meta"]["solver"] == solver
+    assert run_check("ibp", P, g64, count=2).meta["solver"]["solves"] == 0
+
+
 def test_main3_pairing(g64):
     rep = run_check("main3", P, g64, count=3, levels=16, budget=4)
     done = [s for s in rep.samples if not s.skipped]
