@@ -173,16 +173,14 @@ def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
 
     Minimizes the s-th power integral of f >= 0 subject to the potential of f
     dominating 1 at every node of E. Sets touching the box boundary carry an
-    upward truncation bias since the competitors live on the box only.
+    upward truncation bias since the competitors live on the box only. A
+    `warm` result seeds the solve with its `dual` multiplier.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     grid = E.grid
-    warm_pair = None
-    if warm is not None:
-        warm_dual = None if warm.dual is None else -warm.dual
-        warm_pair = (warm.extremal.values, warm_dual)
-    res = _solve(params, grid, E.indicator().values, kind, tol, max_iter, warm_pair)
+    res = _solve(params, grid, E.indicator().values, kind, tol, max_iter,
+                 None if warm is None else warm.dual)
     return CapacityResult(
         value=res.value,
         extremal=Field(grid, res.extremal, nonneg=True),
@@ -199,9 +197,9 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
     """Layer-cake integral of g >= 0 against the capacity of its superlevel sets.
 
     Levels are log-spaced over (min positive value, max value]; each level's
-    solve is seeded with the multiplier of the previous (nested) superlevel
-    set, and the flat piece below the smallest positive value uses the
-    capacity of the support exactly.
+    solve is seeded with the multiplier of the last converged solve along the
+    nested superlevel chain (cold if there is none), and the flat piece below
+    the smallest positive value uses the capacity of the support exactly.
     """
     if levels < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
@@ -241,13 +239,15 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
         idx[-1] = breaks.size - 1
 
     caps_sampled = np.zeros(idx.size)
-    warm = (res_support.extremal, None if res_support.multiplier is None
-            else -res_support.multiplier)
+    # an unconverged multiplier carries no certificate and can be a worse
+    # seed than the obstacle itself, so only converged solves seed
+    warm = res_support.multiplier if res_support.converged else None
     for k, j in enumerate(idx):
         mask = vals > breaks[j]
         res = _solve(params, grid, mask.astype(float), kind, tol, max_iter, warm)
         caps_sampled[k] = res.value
-        warm = (res.extremal, None if res.multiplier is None else -res.multiplier)
+        if res.converged:
+            warm = res.multiplier
 
     if idx.size == breaks.size:
         caps = caps_sampled

@@ -1,5 +1,4 @@
-"""Obstacle-program solver: projected semismooth Newton on the dual, with a
-Chambolle-Pock fallback.
+"""Obstacle-program solver: projected semismooth Newton on the Fenchel dual.
 
 Solves   min  h^n sum_i f_i^s   s.t.  (K f)(x) >= b(x) on {b > 0},  f >= 0,
 where K is a tabulated (Riesz or Bessel) convolution operator. On grids of
@@ -10,19 +9,15 @@ iterates, so the choice does not affect acceptance; `potential()` stays on
 the FFT because Choquet integrals of potentials are sensitive to the
 rounding-level ties that the two products resolve differently.
 
-Newton runs first: a projected semismooth Newton ascent on the Fenchel dual
-(a primal-dual active-set method in the sense of Hintermueller-Ito-Kunisch,
+The method is a projected semismooth Newton ascent on the dual (a
+primal-dual active-set method in the sense of Hintermueller-Ito-Kunisch,
 SIAM J. Optim. 2002), seeded with the warm multiplier or with the obstacle
-scaled along its optimal ray. Only when that does not certify does a
-Chambolle-Pock splitting (JMIV 2011) run, with step sizes from power
-iteration on the constraint operator and Newton polishes at geometrically
-growing intervals. Certificates never rely on the raw iterates: the primal
-value is evaluated at an exactly rescaled feasible point, and the gap against
-the Fenchel dual value of a nonnegative multiplier.
+scaled along its optimal ray. Certificates never rely on the raw iterates:
+the primal value is evaluated at an exactly rescaled feasible point, and the
+gap against the Fenchel dual value of a nonnegative multiplier.
 
 The iteration budget counts every step that applies the operator: the seed
-of each Newton run, each Newton step, each conjugate-gradient step and each
-Chambolle-Pock step.
+of the Newton run, each Newton step and each conjugate-gradient step.
 """
 
 from __future__ import annotations
@@ -54,41 +49,6 @@ class ProgramResult:
     iterations: int
     converged: bool
     multiplier: np.ndarray | None = None   # dual variable of the best certificate
-
-
-def _prox_power(g: np.ndarray, theta: float, s: float) -> np.ndarray:
-    """argmin_{x>=0} (x-g)^2/2 + (theta/s)*s*x^s ... i.e. x + theta*s*x^(s-1) = g."""
-    out = np.zeros_like(g)
-    pos = g > 0
-    if not np.any(pos):
-        return out
-    gp = g[pos]
-    coef = theta * s
-    if s == 2.0:
-        out[pos] = gp / (1.0 + 2.0 * theta)
-        return out
-    if s > 2.0:
-        x = gp.copy()
-        for _ in range(60):
-            phi = x + coef * x ** (s - 1.0) - gp
-            dphi = 1.0 + coef * (s - 1.0) * x ** (s - 2.0)
-            step = phi / dphi
-            x = np.maximum(x - step, 0.0)
-            if np.max(np.abs(phi)) <= 1e-15 * (1.0 + np.max(gp)):
-                break
-        out[pos] = x
-        return out
-    # 1 < s < 2: solve t^m + coef*t = g in t = x^(s-1); m = 1/(s-1) > 1 keeps it convex
-    m = 1.0 / (s - 1.0)
-    t = gp ** (s - 1.0)
-    for _ in range(60):
-        psi = t**m + coef * t - gp
-        dpsi = m * t ** (m - 1.0) + coef
-        t = np.maximum(t - psi / dpsi, 0.0)
-        if np.max(np.abs(psi)) <= 1e-15 * (1.0 + np.max(gp)):
-            break
-    out[pos] = t**m
-    return out
 
 
 def _ray(lam: np.ndarray, a: np.ndarray, b: np.ndarray, c: float, s: float):
@@ -140,7 +100,7 @@ def _accepted(best, tol: float) -> bool:
     return best is not None and best[0] <= tol and best[3] <= tol
 
 
-def _newton_polish(op_apply, b, active, lam0, c, s, b_max, tol, budget):
+def _newton_ascent(op_apply, b, active, lam0, c, s, b_max, tol, budget):
     """Projected semismooth Newton ascent on the Fenchel dual from lam0.
 
     lam0 is nonnegative and vanishes off the active set {b > 0}.
@@ -179,7 +139,10 @@ def _newton_polish(op_apply, b, active, lam0, c, s, b_max, tol, budget):
             return op_apply(fprime * op_apply(vv))[free]
 
         steps += 1
-        d, cg_steps = _cg(hess_mv, grad[free], tol=1e-12, max_iter=budget - steps)
+        # in exact arithmetic CG terminates within |F| steps; beyond that it
+        # only spends budget on rounding noise
+        d, cg_steps = _cg(hess_mv, grad[free], tol=1e-12,
+                          max_iter=min(budget - steps, int(np.count_nonzero(free))))
         steps += cg_steps
         if not np.any(d):
             break
@@ -228,73 +191,22 @@ def _cg(mv, rhs, tol, max_iter):
     return x, k
 
 
-def _chambolle_pock(op_apply, b, active, c, s, b_max, tol, u0, lam0, budget):
-    """Chambolle-Pock splitting from (u0, lam0), polished by Newton after 1, 2, 4, ... steps.
-
-    Step sizes come from power iteration on the restricted operator. At each
-    polish the iterate pair (u, -y) is certified, then Newton runs from the
-    multiplier -y. Returns (best certificate or None, steps used).
-    """
-    # operator norm of the restricted map via power iteration (deterministic start)
-    v = np.where(active, b, 0.0)
-    v /= np.linalg.norm(v)
-    lam_max_sq = 1.0
-    for _ in range(50):
-        w = op_apply(np.where(active, op_apply(v), 0.0))
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            break
-        lam_max_sq = nrm
-        v = w / nrm
-    L = math.sqrt(lam_max_sq) * 1.05
-    tau = math.sqrt(0.9) / L
-    sigma = math.sqrt(0.9) / L
-    theta_prox = tau * c
-
-    u, y = u0.copy(), -lam0
-    u_bar = u.copy()
-    best = None
-    steps = 0
-    interval = 1
-    while steps < budget:
-        for _ in range(min(interval, budget - steps)):
-            y = np.where(active, np.minimum(y + sigma * (op_apply(u_bar) - b), 0.0), 0.0)
-            g = u - tau * op_apply(y)
-            u_new = _prox_power(g, theta_prox, s)
-            u_bar = 2.0 * u_new - u
-            u = u_new
-            steps += 1
-        interval *= 2
-        lam = -y
-        best = _better(best, _certificate(u, op_apply(u), lam, op_apply(lam), b, active,
-                                          c, s, b_max))
-        if _accepted(best, tol) or steps >= budget:
-            break
-        cert, used = _newton_polish(op_apply, b, active, lam, c, s, b_max, tol, budget - steps)
-        steps += used
-        best = _better(best, cert)
-        if _accepted(best, tol):
-            break
-    return best, steps
-
-
 def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
                      tol: float = 1e-6, max_iter: int = 20000,
                      warm=None) -> ProgramResult:
     """Solve the obstacle program; `obstacle` is a grid-shaped nonnegative array.
 
-    `warm` is an (extremal, -multiplier) pair from an earlier solve; only its
-    multiplier is used, as the Newton seed when it is nonzero on {b > 0}.
-    Otherwise the seed is the obstacle itself, scaled along its optimal ray.
-    If the Newton run does not certify, Chambolle-Pock takes over and is
-    polished by Newton at geometrically growing intervals.
+    `warm` is a nonnegative multiplier from an earlier solve (the `multiplier`
+    of its ProgramResult), or None. Its restriction to {b > 0} seeds the
+    Newton run when it is nonzero there; otherwise the seed is the obstacle
+    itself, scaled along its optimal ray.
 
     A result is accepted only on its certificates: gap <= tol * max(value, 1)
     between the value at an exactly rescaled feasible point and a Fenchel dual
     bound, and feasibility residual <= tol. `max_iter` bounds the operator-
-    applying steps (Newton seeds, Newton, CG and Chambolle-Pock steps), which
-    are reported as `iterations`. On budget exhaustion the best certified
-    feasible value is returned with converged=False.
+    applying steps (the Newton seed, Newton steps and CG steps), which are
+    reported as `iterations`. On budget exhaustion, or when no ascent step is
+    found, the best certified feasible value is returned with converged=False.
     """
     grid = table.grid
     if obstacle.shape != grid.shape:
@@ -319,19 +231,12 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
     def op(v):
         return apply_kernel(table, v, method)
 
-    lam = None
-    if warm is not None and warm[1] is not None:
-        lam = np.where(active, np.maximum(-np.asarray(warm[1], dtype=float), 0.0), 0.0)
-    if lam is None or not np.any(lam > 0.0):
-        lam = b
-    best, iterations = _newton_polish(op, b, active, lam, c, s, b_max, tol, max_iter)
-
-    if not _accepted(best, tol) and iterations < max_iter:
-        u0, lam0 = (best[1], best[5]) if best is not None else (zero, lam)
-        cert, used = _chambolle_pock(op, b, active, c, s, b_max, tol, u0, lam0,
-                                     max_iter - iterations)
-        best = _better(best, cert)
-        iterations += used
+    lam = b
+    if warm is not None:
+        seed = np.where(active, np.maximum(np.asarray(warm, dtype=float), 0.0), 0.0)
+        if np.any(seed > 0.0):
+            lam = seed
+    best, iterations = _newton_ascent(op, b, active, lam, c, s, b_max, tol, max_iter)
 
     if best is None:
         return ProgramResult(zero, 0.0, 1.0, math.inf, 0.0, iterations, False)

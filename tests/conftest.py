@@ -57,3 +57,37 @@ def _dense_capacity_qp(K, idx, h):
 @pytest.fixture
 def capacity_qp():
     return _dense_capacity_qp
+
+
+def _dense_capacity_dual(K, idx, h, s):
+    """Reference value of min h*sum(f^s) s.t. K[idx] f >= 1, f >= 0 (dense K), from below.
+
+    Maximizes the Fenchel dual
+        g(lam) = sum(lam) - (1 - 1/s) (h s)^(-1/(s-1)) sum (a_+)^(s/(s-1)),
+        a = K[idx]^T lam,
+    over lam >= 0 with scipy's L-BFGS-B. Its gradient is 1 - K[idx] f(a) with
+    f(a) = (a_+/(h s))^(1/(s-1)), the Lagrangian's minimizer. The result is
+    the dual value, a lower bound on the minimum for any lam >= 0.
+    """
+    from scipy.optimize import minimize
+
+    A = K[idx]
+    sp = s / (s - 1.0)
+    coef = (1.0 - 1.0 / s) * (h * s) ** (-1.0 / (s - 1.0))
+
+    def neg_dual(lam):
+        a = np.maximum(A.T @ lam, 0.0)
+        f = (a / (h * s)) ** (1.0 / (s - 1.0))
+        return coef * np.sum(a**sp) - np.sum(lam), A @ f - 1.0
+
+    res = minimize(neg_dual, np.zeros(len(idx)), jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, None)] * len(idx),
+                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 20000, "maxcor": 30})
+    if not res.success:
+        raise RuntimeError(f"L-BFGS-B oracle failed: {res.message}")
+    return float(-res.fun)
+
+
+@pytest.fixture
+def capacity_dual():
+    return _dense_capacity_dual

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -70,17 +71,20 @@ def test_capacity_monotone_and_subadditive(g64, params):
     assert capBC <= capB + capC + 4 * tol
 
 
-def test_extremal_uniqueness_across_initializations(params):
+def test_extremal_uniqueness_across_initializations(params, rng):
     g = Grid(1, 1.0, 128)
     E = ball_mask(g, 0.2)
     tol = 1e-6
     r1 = capacity(E, params, tol=tol)
     from capax.capacity import CapacityResult
 
+    # a random multiplier; a constant one would ray-scale to the cold seed
     warm_start = CapacityResult(
-        value=0.0, extremal=Field(g, np.full(g.shape, 0.5), nonneg=True),
-        feasibility_residual=0.0, gap=0.0, iterations=0, converged=False, dual=None)
+        value=0.0, extremal=Field(g, np.zeros(g.shape), nonneg=True),
+        feasibility_residual=0.0, gap=0.0, iterations=0, converged=False,
+        dual=rng.uniform(0.1, 1.0, g.shape))
     r2 = capacity(E, params, tol=tol, warm=warm_start)
+    assert r2.converged and not np.array_equal(r1.extremal.values, r2.extremal.values)
     dist = (g.spacing * np.sum(np.abs(r1.extremal.values - r2.extremal.values) ** params.s)) \
         ** (1 / params.s)
     assert dist <= 10 * tol
@@ -132,6 +136,27 @@ def test_choquet_level_doubling(params):
     c48 = choquet_integral(field, params, levels=48, tol=1e-7)
     c96 = choquet_integral(field, params, levels=96, tol=1e-7)
     assert abs(c96 / c48 - 1) <= 0.005
+
+
+def test_choquet_seeds_only_from_converged_solves(g64, params, monkeypatch):
+    mod = sys.modules["capax.capacity"]     # the package attribute is the function
+    orig = mod.obstacle_program
+    seeds, results = [], []
+
+    def second_unconverged(table, obstacle, s, warm=None, **kw):
+        seeds.append(warm)
+        res = orig(table, obstacle, s, warm=warm, **kw)
+        if len(results) == 1:
+            res = dataclasses.replace(res, converged=False)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(mod, "obstacle_program", second_unconverged)
+    choquet_integral(Field(g64, np.exp(-g64.axis**2 / 0.05), nonneg=True), params, levels=4)
+    assert len(results) == 5 and seeds[0] is None
+    assert seeds[1] is results[0].multiplier
+    assert seeds[2] is results[0].multiplier      # the unconverged solve does not seed
+    assert seeds[3] is results[2].multiplier and seeds[4] is results[3].multiplier
 
 
 def test_choquet_monotone(g64, params):
