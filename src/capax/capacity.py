@@ -143,6 +143,8 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float, max_iter: int,
     stored result's arrays are read-only. A miss calls `obstacle_program`
     through this module's binding. Outside a scope every call solves.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     params.validate_for(kind)
     table = kernel_table(grid, params.alpha, kind)
     scope = _SCOPE.get()
@@ -176,8 +178,6 @@ def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
     upward truncation bias since the competitors live on the box only. A
     `warm` result seeds the solve with its `dual` multiplier.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     grid = E.grid
     res = _solve(params, grid, E.indicator().values, kind, tol, max_iter,
                  None if warm is None else warm.dual)

@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
-One command per process: parse flags (optionally seeded from a flat
-key=value config file, flags win), dispatch to the library, print a short
+One command per process: parse flags, dispatch to the library, print a short
 human summary, and write machine output only when --output is given. A
+--config file holds flat key=value lines; each line is parsed as the flag of
+that name (`set=ball:0.2` as `--set=ball:0.2`), with the same checks, and
+placed before the command-line flags, so flags win. A
 manifest with the config echo, library versions, wall time and solver counts
 is written next to each output file; result files themselves contain no
 timing, so a rerun of the same config is byte-identical.
@@ -27,10 +29,10 @@ from .capacity import capacity, choquet_integral, f_norm, lq_cap_norm, solve_sco
 from .families import DEFAULT_FAMILY_SEED
 from .grid import (Field, Grid, Mask, Params, annulus_mask, ball_mask, cube_mask,
                    field_from_json, field_to_json, mask_from_json)
-from .potentials import Measure, bessel_potential, riesz_potential, wolff_potential
+from .potentials import Measure, potential, wolff_potential
 from .spaces import (beta_functional, kv_norm, lambda_functional, m_norm, n_norm,
                      otilde_norm)
-from .verify import refinement_study, report_to_csv, report_to_json, run_check
+from .verify import CHECK_NAMES, refinement_study, report_to_csv, report_to_json, run_check
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -54,7 +56,6 @@ class RunConfig:
     levels: int = 48
     output: str | None = None
     check: str | None = None
-    family: str = "mixed"
     count: int = 8
     set_spec: str | None = None
     input: str | None = None
@@ -76,7 +77,7 @@ class RunConfig:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"error: {message}\n")
 
 
 def _build_parser() -> _Parser:
@@ -96,13 +97,12 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--levels", type=int)
     parser.add_argument("--output")
-    parser.add_argument("--check")
-    parser.add_argument("--family")
+    parser.add_argument("--check", choices=CHECK_NAMES)
     parser.add_argument("--count", type=int)
     parser.add_argument("--set", dest="set_spec",
                         help="mask constructor, e.g. ball:0.25 or ball:0.2+cube:0.3")
     parser.add_argument("--input", help="input file (Field/Mask/report JSON)")
-    parser.add_argument("--t", type=float, help="exponent for the ibp check")
+    parser.add_argument("--t", type=float, help="exponent t, for the checks that take one")
     parser.add_argument("--norm",
                         choices=("m", "otilde", "kv", "n", "f", "lqcap", "lambda", "beta"))
     parser.add_argument("--method", choices=("fast", "direct"))
@@ -114,8 +114,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    out = {}
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list:
+    """The config file's key=value lines as `--flag=value` arguments. A key is
+    a flag's name or its dest (`set` or `set_spec`); a `command` key is ignored."""
+    flags = {}
+    for action in parser._actions:
+        if action.dest not in ("help", "config"):
+            for opt in action.option_strings:
+                flags[opt[2:]] = flags[action.dest] = opt
+    args = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -123,32 +130,21 @@ def _load_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line (expected key=value): {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
-_CONFIG_TYPES = {
-    "n": int, "N": int, "seed": int, "levels": int, "count": int,
-    "alpha": float, "s": float, "q": float, "p": float, "r": float, "L": float,
-    "tol": float, "t": float, "R": float,
-}
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key == "command":
+                continue
+            if key not in flags:
+                raise ValueError(f"unknown config key {key!r}")
+            args.append(f"{flags[key]}={value}")
+    return args
 
 
 def parse_args(argv) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    values = {k: v for k, v in vars(ns).items() if v is not None and k != "config"}
     if ns.config:
-        file_values = _load_config_file(ns.config)
-        for key, raw in file_values.items():
-            dest = "set_spec" if key == "set" else key
-            if dest not in RunConfig.__dataclass_fields__:
-                raise ValueError(f"unknown config key {key!r}")
-            if dest not in values or dest == "command":
-                conv = _CONFIG_TYPES.get(dest, str)
-                values.setdefault(dest, conv(raw))
-    return RunConfig(**values)
+        ns = parser.parse_args(_config_flags(parser, ns.config) + list(argv))
+    return RunConfig(**{k: v for k, v in vars(ns).items() if v is not None and k != "config"})
 
 
 def parse_set_spec(grid: Grid, spec: str) -> Mask:
@@ -256,8 +252,7 @@ def _execute(cfg: RunConfig) -> tuple:
         if not cfg.input:
             raise ValueError("potential needs --input (a Field JSON file)")
         f = _read_field(cfg.input)
-        fn = riesz_potential if cfg.kind == "riesz" else bessel_potential
-        out = fn(f, cfg.alpha, cfg.method)
+        out = potential(f, cfg.alpha, cfg.kind, cfg.method)
         print(f"potential kind={cfg.kind} max={np.max(out.values):.10g} "
               f"min={np.min(out.values):.10g}")
         if cfg.output:
@@ -318,13 +313,8 @@ def _execute(cfg: RunConfig) -> tuple:
         if not cfg.check:
             raise ValueError("verify needs --check")
         params = cfg.params()
-        kw = {}
-        if cfg.check == "ibp":
-            kw["t"] = cfg.t
-        if cfg.check in ("adams", "main2", "newnorm2", "kv") and cfg.q is not None:
-            kw["q"] = cfg.q
-        if cfg.check == "boundedness" and cfg.R is not None:
-            kw["R"] = cfg.R
+        # the check registry passes each check only the keywords it takes
+        kw = {"t": cfg.t, "R": math.inf if cfg.R is None else cfg.R}
         if cfg.refine:
             Ns = [int(x) for x in cfg.refine.split(",")]
             report = refinement_study(cfg.check, params, Ns, cfg.L, cfg.kind,

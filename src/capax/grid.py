@@ -117,9 +117,6 @@ class Field:
         if self.nonneg and np.any(self.values < 0):
             raise ValueError("nonneg field has negative values")
 
-    def with_values(self, values, nonneg: bool | None = None) -> "Field":
-        return Field(self.grid, values, self.nonneg if nonneg is None else nonneg)
-
     def __eq__(self, other):
         return (
             isinstance(other, Field)

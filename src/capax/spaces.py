@@ -41,17 +41,12 @@ _REWEIGHT_STOP = 1e-4   # relative decrease below which alternating schemes stop
 @dataclass
 class WeightWitness:
     weight: Field
-    lq_cap_norm_value: float
     a1_value: float | None
     construction: str
 
 
 def _zero_estimate(grid: Grid) -> NormEstimate:
     return NormEstimate(0.0, 0.0, Field(grid, np.zeros(grid.shape), nonneg=True))
-
-
-def _candidates(grid: Grid, count: int, seed: int) -> list:
-    return field_family("mixed", seed, count, grid)
 
 
 def _l_s_normalized(h: Field, s: float) -> Field | None:
@@ -80,7 +75,7 @@ def a1_weight_witness(h: Field, params: Params, kind: str, tol: float = 1e-6,
     nrm = lq_cap_norm(w, params.s / r, params, kind, levels=levels, tol=tol)
     w_unit = Field(h.grid, raw / nrm, nonneg=True)
     a1 = a1_constant(w_unit, truncated=(kind == "bessel")) if with_a1 else None
-    return WeightWitness(w_unit, 1.0, a1, construction)
+    return WeightWitness(w_unit, a1, construction)
 
 
 # -- Sobolev multiplier type norm ---------------------------------------------
@@ -135,7 +130,7 @@ def m_norm(f: Field, params: Params, kind: str = "riesz", budget: int = 32,
 
     lower = 0.0
     best_h = None
-    for h in _candidates(f.grid, budget, seed):
+    for h in field_family("mixed", seed, budget, f.grid):
         hn = _l_s_normalized(h, s)
         if hn is None:
             continue
@@ -321,15 +316,6 @@ def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
 
 # -- weighted N-type norm -------------------------------------------------------
 
-def _n_objective(g_abs: np.ndarray, w: np.ndarray, p_conj: float, cell: float) -> float:
-    nz = g_abs > 0
-    if not np.any(nz):
-        return 0.0
-    if np.any(w[nz] <= 0):
-        return np.inf
-    return float((cell * np.sum(g_abs[nz] ** p_conj * w[nz] ** (1.0 - p_conj))) ** (1.0 / p_conj))
-
-
 @scoped
 def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain",
            tol: float = 1e-6, levels: int = 32, budget: int = 8,
@@ -353,7 +339,7 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
     cell = grid.cell_volume
 
     witnesses = []
-    hs = [h for h in _candidates(grid, budget, seed)]
+    hs = field_family("mixed", seed, budget, grid)
     hs.append(Field(grid, ghat, nonneg=True))
     for h in hs:
         hn = _l_s_normalized(h, s)
@@ -365,13 +351,14 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
     if variant == "plain":
         nrm = lq_cap_norm(Field(grid, ghat, nonneg=True), s / r, params, kind,
                           levels=levels, tol=tol)
-        witnesses.append(WeightWitness(Field(grid, ghat / nrm, nonneg=True), 1.0, None, "custom"))
+        witnesses.append(WeightWitness(Field(grid, ghat / nrm, nonneg=True), None, "custom"))
     for extra in extra_witnesses:
-        witnesses.append(WeightWitness(extra, 1.0, None, "custom"))
+        witnesses.append(WeightWitness(extra, None, "custom"))
 
+    # the N objective is the O-tilde objective at q = 1 and s = p'
     best, upper = None, np.inf
     for ww in witnesses:
-        val = _n_objective(ghat, ww.weight.values, p_conj, cell)
+        val = _otilde_objective(ghat, ww.weight.values, 1.0, p_conj, cell)
         if val < upper:
             upper, best = val, ww
 
@@ -384,7 +371,7 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
             break
         ww = a1_weight_witness(hn, params, kind, tol=tol, levels=levels,
                                with_a1=(variant == "a1_quasicontinuous"))
-        val = _n_objective(ghat, ww.weight.values, p_conj, cell)
+        val = _otilde_objective(ghat, ww.weight.values, 1.0, p_conj, cell)
         if val < upper * (1 - _REWEIGHT_STOP):
             upper, best = val, ww
         else:

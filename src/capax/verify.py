@@ -14,11 +14,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .capacity import capacity, choquet_integral, lq_cap_norm, scoped, solve_scope
-from .families import DEFAULT_FAMILY_SEED, family, field_family, measure_family
+from .families import DEFAULT_FAMILY_SEED, field_family, measure_family
 from .grid import Field, Grid, Mask, Params, integrate, lp_norm
 from .potentials import Measure, potential, wolff_at_points, wolff_potential
 from .spaces import beta_functional, kv_norm, lambda_functional, m_norm, n_norm, otilde_norm
@@ -38,10 +39,10 @@ __all__ = [
     "check_main3",
     "main2_pairs",
     "run_check",
+    "CHECK_NAMES",
     "refinement_study",
     "report_to_json",
     "report_to_csv",
-    "family",
 ]
 
 
@@ -85,12 +86,12 @@ def _ratio(lhs: float, rhs: float) -> tuple:
 # -- capacitary strong type inequalities ----------------------------------------
 
 @scoped
-def check_adams(q: float, params: Params, fields, kind: str = "riesz",
+def check_adams(params: Params, fields, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                 tol: float = 1e-6) -> ConstantReport:
-    """Choquet integral of (I f)^q against the defect integral f^s (I f)^(q-s)."""
-    if not q >= 1:
-        raise ValueError("q must be >= 1")
+    """Choquet integral of (I f)^q against the defect integral f^s (I f)^(q-s);
+    q is params.q, or s when that is unset."""
+    q = params.s if params.q is None else params.q
     samples = []
     for i, f in enumerate(fields):
         vals = f.values
@@ -112,16 +113,22 @@ def check_csim(params: Params, fields, kind: str = "riesz",
                seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                tol: float = 1e-6) -> ConstantReport:
     """Maz'ya-type strong inequality: the q = s case of the same computation."""
-    rep = check_adams(params.s, params, fields, kind, seed, levels, tol)
+    rep = check_adams(params.replace(q=params.s), fields, kind, seed, levels, tol)
     rep.inequality_id = "csim"
     return rep
+
+
+def _q_below_s(params: Params, who: str) -> float:
+    if params.q is None or not 1 <= params.q < params.s:
+        raise ValueError(f"{who} needs params.q in [1, s)")
+    return params.q
 
 
 def main2_pairs(grid: Grid, params: Params, count: int, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                 tol: float = 1e-6, const_weight_last: bool = True):
     """(f, w) pairs with unit-L^q(cap) weights built from potential witnesses."""
-    q = params.q
+    q = _q_below_s(params, "main2_pairs")
     fs = field_family("mixed", seed, count, grid)
     aux = field_family("bumps", seed + 1, count, grid)
     pairs = []
@@ -138,39 +145,38 @@ def main2_pairs(grid: Grid, params: Params, count: int, kind: str = "riesz",
 
 
 @scoped
-def check_main2(q: float, params: Params, pairs, kind: str = "riesz",
+def check_main2(params: Params, pairs, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                 tol: float = 1e-6) -> ConstantReport:
     """Weighted bound: L^q(cap) norm of I f against the w-weighted s-integral."""
-    if not 1 <= q < params.s:
-        raise ValueError("check_main2 needs 1 <= q < s")
-    p = params.replace(q=q)
+    q = _q_below_s(params, "check_main2")
+    s = params.s
     samples = []
     for i, (f, w) in enumerate(pairs):
         vals = f.values
         if not np.any(vals > 0):
             samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="zero sample"))
             continue
-        v = potential(f, p.alpha, kind).values
-        lhs = choquet_integral(Field(f.grid, v**q, nonneg=True), p, kind,
+        v = potential(f, params.alpha, kind).values
+        lhs = choquet_integral(Field(f.grid, v**q, nonneg=True), params, kind,
                                levels=levels, tol=tol) ** (1.0 / q)
         wv = w.values
-        integrand = np.where(vals > 0, vals**p.s * np.where(wv > 0, wv, 1.0) ** (q - p.s), 0.0)
+        integrand = np.where(vals > 0, vals**s * np.where(wv > 0, wv, 1.0) ** (q - s), 0.0)
         if np.any((vals > 0) & (wv <= 0)):
             rhs = math.inf
         else:
-            rhs = integrate(Field(f.grid, integrand)) ** (1.0 / p.s)
+            rhs = integrate(Field(f.grid, integrand)) ** (1.0 / s)
         if math.isinf(rhs):
             samples.append(Sample(i, lhs, rhs, 0.0, skipped=True, note="weight vanishes on support"))
             continue
         ratio, skipped = _ratio(lhs, rhs)
         samples.append(Sample(i, lhs, rhs, ratio, skipped=skipped))
-    return _finish("main2", p, seed, samples)
+    return _finish("main2", params, seed, samples)
 
 
 @scoped
-def check_ibp(t: float, params: Params, fields, kind: str = "riesz",
-              seed: int = DEFAULT_FAMILY_SEED) -> ConstantReport:
+def check_ibp(params: Params, fields, kind: str = "riesz",
+              seed: int = DEFAULT_FAMILY_SEED, t: float = 2.0) -> ConstantReport:
     """Pointwise integrating-by-parts bound (I f)^t <= A * I[f (I f)^(t-1)]."""
     if not t >= 1:
         raise ValueError("t must be >= 1")
@@ -195,7 +201,7 @@ def check_ibp(t: float, params: Params, fields, kind: str = "riesz",
 # -- Wolff potential checks ------------------------------------------------------
 
 @scoped
-def check_boundedness(mu_family, params: Params, R: float = math.inf,
+def check_boundedness(params: Params, mu_family, R: float = math.inf,
                       seed: int = DEFAULT_FAMILY_SEED) -> ConstantReport:
     """Global max of W^R against 2^((n - alpha s)/(s-1)) times the supp max of W^(2R)."""
     factor = 2.0 ** ((params.n - params.alpha * params.s) / (params.s - 1.0))
@@ -251,7 +257,7 @@ def _deposited_density(mu: Measure) -> np.ndarray:
 
 
 @scoped
-def check_upper_tri(mu_family, params: Params, kind: str = "riesz",
+def check_upper_tri(params: Params, mu_family, kind: str = "riesz",
                     seed: int = DEFAULT_FAMILY_SEED, budget: int = 8,
                     levels: int = 32, tol: float = 1e-6) -> ConstantReport:
     """Four equivalent trace quantities for each measure: candidate-h trace
@@ -335,16 +341,7 @@ def check_wolff_weak(mu: Measure, t: float, params: Params, kind: str = "riesz",
         raise ValueError("t must be positive")
     grid = mu.grid
     w = wolff_potential(mu, params.alpha, params.s).values
-    base_mask = w > t
-    mu_et = 0.0
-    if np.any(base_mask):
-        if mu.atoms:
-            for pos, mass in zip(mu.atom_positions, mu.atom_masses):
-                if base_mask[_nearest_node_index(grid, pos)]:
-                    mu_et += float(mass)
-        if mu.density is not None:
-            mu_et += integrate(Field(grid, base_mask * mu.density.values))
-    rhs = t ** (1.0 - params.s) * mu_et
+    rhs = t ** (1.0 - params.s) * _measure_pairing(mu, w > t)
     samples = []
     for i, a in enumerate(a_values):
         mask = w > a * t
@@ -362,19 +359,19 @@ def check_wolff_weak(mu: Measure, t: float, params: Params, kind: str = "riesz",
 # -- norm equivalence bands ------------------------------------------------------
 
 @scoped
-def check_newnorm2(q: float, u_family, params: Params, kind: str = "riesz",
+def check_newnorm2(params: Params, u_family, kind: str = "riesz",
                    seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                    tol: float = 1e-6) -> ConstantReport:
     """Three-way band between the L^q(cap) quasi-norm and the two functionals."""
-    p = params.replace(q=q)
+    q = _q_below_s(params, "check_newnorm2")
     samples = []
     for i, u in enumerate(u_family):
         if not np.any(np.abs(u.values) > 0):
             samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="zero sample"))
             continue
-        n1 = lq_cap_norm(u, q, p, kind, levels=levels, tol=tol)
-        n2 = lambda_functional(u, p, kind, tol=tol, levels=levels).upper
-        n3 = beta_functional(u, p, kind, tol=tol, levels=levels).upper
+        n1 = lq_cap_norm(u, q, params, kind, levels=levels, tol=tol)
+        n2 = lambda_functional(u, params, kind, tol=tol, levels=levels).upper
+        n3 = beta_functional(u, params, kind, tol=tol, levels=levels).upper
         vals = np.array([n1, n2, n3])
         quantities = {"lq_cap": n1, "lambda": n2, "beta": n3}
         if np.any(vals <= 0):
@@ -384,22 +381,21 @@ def check_newnorm2(q: float, u_family, params: Params, kind: str = "riesz",
         band = float(vals.max() / vals.min())
         samples.append(Sample(i, float(vals.max()), float(vals.min()), band,
                               quantities=quantities))
-    return _finish("newnorm2", p, seed, samples)
+    return _finish("newnorm2", params, seed, samples)
 
 
 @scoped
-def check_kv_equiv(q: float, g_family, params: Params, kind: str = "riesz",
+def check_kv_equiv(params: Params, g_family, kind: str = "riesz",
                    seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                    tol: float = 1e-6) -> ConstantReport:
     """Two-sided ratio band between the majorant norm and the weighted O-norm."""
-    p = params.replace(q=q)
     samples = []
     for i, g in enumerate(g_family):
         if not np.any(np.abs(g.values) > 0):
             samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="zero sample"))
             continue
-        nk = kv_norm(g, p, kind, tol=tol, levels=levels).upper
-        no = otilde_norm(g, p, kind, tol=tol, levels=levels).upper
+        nk = kv_norm(g, params, kind, tol=tol, levels=levels).upper
+        no = otilde_norm(g, params, kind, tol=tol, levels=levels).upper
         quantities = {"kv": nk, "otilde": no}
         if nk <= 0 or no <= 0:
             samples.append(Sample(i, nk, no, math.inf, quantities=quantities,
@@ -407,101 +403,111 @@ def check_kv_equiv(q: float, g_family, params: Params, kind: str = "riesz",
             continue
         band = max(nk / no, no / nk)
         samples.append(Sample(i, nk, no, band, quantities=quantities))
-    return _finish("kv_equiv", p, seed, samples)
+    return _finish("kv_equiv", params, seed, samples)
 
 
 @scoped
-def check_main3(p: float, r: float, pair_family, params: Params, kind: str = "riesz",
+def check_main3(params: Params, pair_family, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                 tol: float = 1e-6, budget: int = 8) -> ConstantReport:
     """Koethe pairing: integral of |f g| for f in the trace-norm unit ball
     against the N-norm of g (f normalized by its certified lower bound)."""
-    pp = params.replace(p=p, r=r)
     samples = []
     for i, (f, g) in enumerate(pair_family):
-        mf = m_norm(f, pp, kind, budget=budget, seed=seed + 3, tol=tol, levels=levels)
+        mf = m_norm(f, params, kind, budget=budget, seed=seed + 3, tol=tol, levels=levels)
         if mf.lower <= 0 or not np.any(np.abs(g.values) > 0):
             samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="degenerate pair"))
             continue
         f_unit = np.abs(f.values) / mf.lower
         lhs = integrate(Field(f.grid, f_unit * np.abs(g.values)))
-        rhs = n_norm(g, pp, kind, variant="plain", tol=tol, levels=levels,
+        rhs = n_norm(g, params, kind, variant="plain", tol=tol, levels=levels,
                      budget=budget, seed=seed + 4).upper
         ratio, skipped = _ratio(lhs, rhs)
         samples.append(Sample(i, lhs, rhs, ratio, skipped=skipped))
-    return _finish("main3", pp, seed, samples)
+    return _finish("main3", params, seed, samples)
 
 
-# -- dispatch, refinement, and serialization -------------------------------------
+# -- check registry, refinement, and serialization -------------------------------
+
+def _fields(params, grid, kind, seed, count, levels, tol, scale) -> list:
+    fam = field_family("mixed", seed, count, grid)
+    if scale == 1.0:
+        return fam
+    return [Field(grid, scale * f.values, nonneg=True) for f in fam]
+
+
+def _measures(name: str):
+    def build(params, grid, kind, seed, count, levels, tol, scale) -> list:
+        mus = measure_family(name, seed, count, grid)
+        return mus if scale == 1.0 else [m.scaled(scale) for m in mus]
+    return build
+
+
+def _main2_family(params, grid, kind, seed, count, levels, tol, scale) -> list:
+    pairs = main2_pairs(grid, params, count, kind, seed, levels, tol)
+    return [(Field(grid, scale * f.values, nonneg=True), w) for f, w in pairs]
+
+
+def _main3_family(params, grid, kind, seed, count, levels, tol, scale) -> list:
+    fs = field_family("mixed", seed, count, grid)
+    gs = field_family("bumps", seed + 5, count, grid)
+    return [(f, Field(grid, scale * g.values, nonneg=True)) for f, g in zip(fs, gs)]
+
+
+class _Check(NamedTuple):
+    """A registered check: `run(params, family, seed=, **keywords)` on the
+    family that `family(params, grid, kind, seed, count, levels, tol, scale)`
+    builds; `levels` is capped at `max_levels`."""
+
+    run: Callable
+    family: Callable
+    keywords: tuple
+    max_levels: float = math.inf
+
+
+_CHOQUET = ("kind", "levels", "tol")
+
+_CHECKS = {
+    "csim": _Check(check_csim, _fields, _CHOQUET),
+    "adams": _Check(check_adams, _fields, _CHOQUET),
+    "main2": _Check(check_main2, _main2_family, _CHOQUET),
+    "ibp": _Check(check_ibp, _fields, ("kind", "t")),
+    "boundedness": _Check(check_boundedness, _measures("atoms"), ("R",)),
+    "upper_tri": _Check(check_upper_tri, _measures("measures"), _CHOQUET + ("budget",)),
+    "newnorm2": _Check(check_newnorm2, _fields, _CHOQUET, max_levels=24),
+    "kv": _Check(check_kv_equiv, _fields, _CHOQUET, max_levels=24),
+    "main3": _Check(check_main3, _main3_family, _CHOQUET + ("budget",), max_levels=24),
+}
+
+CHECK_NAMES = tuple(_CHECKS)
+
 
 def run_check(name: str, params: Params, grid: Grid, kind: str = "riesz",
               seed: int = DEFAULT_FAMILY_SEED, count: int = 8, levels: int = 32,
               tol: float = 1e-6, scale: float = 1.0, **kw) -> ConstantReport:
     """Build the named check's default family on the grid and run it.
 
-    Reports are bit-reproducible from (name, params, seed, grid, count, levels).
-    The `scale` knob multiplies the family, for homogeneity-invariance checks.
-    The whole check runs in one solve scope; `meta["solver"]` holds its counts
-    of real solves, memo hits and solves that did not converge.
+    The check registry `_CHECKS` fixes each check's family, the keywords it
+    takes (`t`, `R`, `budget`; others are ignored) and its level cap. A `q`,
+    `p` or `r` keyword replaces that exponent of `params` before anything is
+    built. Reports are bit-reproducible from (name, params, seed, grid, count,
+    levels). The `scale` knob multiplies the family, for homogeneity-invariance
+    checks. The whole check runs in one solve scope; `meta["solver"]` holds its
+    counts of real solves, memo hits and solves that did not converge.
     """
+    if name not in _CHECKS:
+        raise ValueError(f"unknown check {name!r}; known: {CHECK_NAMES}")
+    check = _CHECKS[name]
+    params = params.replace(**{k: kw.pop(k) for k in ("q", "p", "r") if k in kw})
+    levels = min(levels, check.max_levels)
+    options = dict(kw, kind=kind, levels=levels, tol=tol)
     with solve_scope() as scope:
         before = scope.counts()
-        report = _dispatch_check(name, params, grid, kind, seed, count, levels, tol,
-                                 scale, **kw)
+        family = check.family(params, grid, kind, seed, count, levels, tol, scale)
+        report = check.run(params, family, seed=seed,
+                           **{k: options[k] for k in check.keywords if k in options})
         report.meta["solver"] = scope.since(before)
     return report
-
-
-def _dispatch_check(name, params, grid, kind, seed, count, levels, tol, scale,
-                    **kw) -> ConstantReport:
-    def scaled_fields(fam):
-        if scale == 1.0:
-            return fam
-        return [Field(grid, scale * f.values, nonneg=True) for f in fam]
-
-    if name == "csim":
-        return check_csim(params, scaled_fields(field_family("mixed", seed, count, grid)),
-                          kind, seed, levels, tol)
-    if name == "adams":
-        q = kw.get("q", params.q if params.q is not None else params.s)
-        return check_adams(q, params, scaled_fields(field_family("mixed", seed, count, grid)),
-                           kind, seed, levels, tol)
-    if name == "main2":
-        q = kw.get("q", params.q)
-        pairs = main2_pairs(grid, params.replace(q=q), count, kind, seed, levels, tol)
-        pairs = [(Field(grid, scale * f.values, nonneg=True), w) for f, w in pairs]
-        return check_main2(q, params, pairs, kind, seed, levels, tol)
-    if name == "ibp":
-        t = kw.get("t", 2.0)
-        return check_ibp(t, params, scaled_fields(field_family("mixed", seed, count, grid)),
-                         kind, seed)
-    if name == "boundedness":
-        R = kw.get("R", math.inf)
-        mus = [m.scaled(scale) if scale != 1.0 else m
-               for m in measure_family("atoms", seed, count, grid)]
-        return check_boundedness(mus, params, R, seed)
-    if name == "upper_tri":
-        mus = [m.scaled(scale) if scale != 1.0 else m
-               for m in measure_family("measures", seed, count, grid)]
-        return check_upper_tri(mus, params, kind, seed, kw.get("budget", 8), levels, tol)
-    if name == "newnorm2":
-        q = kw.get("q", params.q)
-        return check_newnorm2(q, scaled_fields(field_family("mixed", seed, count, grid)),
-                              params, kind, seed, min(levels, 24), tol)
-    if name == "kv":
-        q = kw.get("q", params.q)
-        return check_kv_equiv(q, scaled_fields(field_family("mixed", seed, count, grid)),
-                              params, kind, seed, min(levels, 24), tol)
-    if name == "main3":
-        p = kw.get("p", params.p)
-        r = kw.get("r", params.r)
-        fs = field_family("mixed", seed, count, grid)
-        gs = field_family("bumps", seed + 5, count, grid)
-        pair_family = [(fs[i], Field(grid, scale * gs[i].values, nonneg=True))
-                       for i in range(count)]
-        return check_main3(p, r, pair_family, params, kind, seed, min(levels, 24), tol,
-                           kw.get("budget", 8))
-    raise ValueError(f"unknown check {name!r}")
 
 
 def refinement_study(name: str, params: Params, Ns, half_width: float = 1.0,

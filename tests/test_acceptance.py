@@ -189,7 +189,7 @@ def test_criterion_7_boundedness_principle():
     rng = np.random.default_rng(5)
     mu10 = Measure.from_atoms(g, rng.uniform(-0.5, 0.5, (10, 1)),
                               np.exp(rng.normal(0, 0.5, 10)))
-    rep = check_boundedness([mu2, mu10], P1)
+    rep = check_boundedness(P1, [mu2, mu10])
     multi_ok = all(s.ratio <= factor for s in rep.samples)
 
     _report(7, f"boundedness: single-atom ratio <= 1 ({single_ok}), two/ten-atom ratios "

@@ -244,6 +244,19 @@ def test_choquet_and_lq_cap_reject_zero_levels(g64, params):
         lq_cap_norm(ramp, 1.5, params, levels=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+def test_nonpositive_tol_rejected_on_every_solve_path(g64, params, tol):
+    ramp = Field(g64, np.linspace(0.0, 1.0, g64.points_per_axis), nonneg=True)
+    calls = [lambda: capacity(ball_mask(g64, 0.25), params, tol=tol),
+             lambda: choquet_integral(ramp, params, tol=tol),
+             lambda: lq_cap_norm(ramp, 1.5, params, tol=tol),
+             lambda: f_norm(ramp, params, tol=tol),
+             lambda: n_norm(ramp, params, tol=tol, budget=2)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be positive"):
+            call()
+
+
 # -- solve memo -----------------------------------------------------------------
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from capax.cli import main, parse_args, parse_atoms, parse_set_spec
 from capax.grid import (Field, Grid, Params, ball_mask, cube_mask, field_from_json,
                         field_to_json)
 from capax.capacity import capacity
+from capax.verify import CHECK_NAMES
 
 
 def run_cli(*args):
@@ -240,3 +241,57 @@ def test_unconverged_solve_exits_two(tmp_path, monkeypatch, command):
     assert json.loads(out.read_text())["value"] > 0
     manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
     assert manifest["solver"]["nonconverged"] > 0
+
+
+@pytest.mark.parametrize("check", CHECK_NAMES)
+def test_verify_runs_every_registered_check(tmp_path, capsys, check):
+    out = tmp_path / "rep.json"
+    code = run_cli("verify", "--check", check, "--n", "1", "--alpha", "0.4", "--s", "2",
+                   "--q", "1.5", "--p", "2", "--r", "1", "--t", "1.5", "--R", "0.5",
+                   "--N", "16", "--count", "2", "--levels", "8", "--output", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert (tmp_path / "rep.csv").read_text().startswith("sample_id,lhs,rhs,ratio")
+    # csim is the q = s case whatever --q says; t and R reach only the checks taking them
+    assert doc["params"]["q"] == (2.0 if check == "csim" else 1.5)
+    assert doc["meta"].get("t") == (1.5 if check == "ibp" else None)
+    assert doc["meta"].get("R") == (0.5 if check == "boundedness" else None)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("check", ["main2", "newnorm2", "kv", "upper_tri", "main3"])
+def test_verify_without_required_exponent_exits_one(capsys, check):
+    assert run_cli("verify", "--check", check, "--N", "16", "--count", "2",
+                   "--levels", "8") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, line", [("potential", "kind=foo"),
+                                           ("potential", "method=dense"),
+                                           ("norm", "norm=bogus")])
+def test_config_values_get_the_flag_checks(tmp_path, capsys, command, line):
+    g = Grid(1, 1.0, 32)
+    fpath = tmp_path / "field.json"
+    fpath.write_text(field_to_json(ball_mask(g, 0.3).indicator()))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha=0.4\n{line}\n")
+    assert run_cli(command, "--config", str(cfg), "--input", str(fpath)) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_family_config_key_and_flag_removed(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("check=csim\nN=16\nfamily=mixed\n")
+    assert run_cli("verify", "--config", str(cfg)) == 1
+    assert "unknown config key 'family'" in capsys.readouterr().err
+    assert run_cli("verify", "--check", "csim", "--N", "16", "--family", "mixed") == 1
+    capsys.readouterr()
+
+
+def test_zero_tol_exits_one(tmp_path, capsys):
+    g = Grid(1, 1.0, 32)
+    fpath = tmp_path / "field.json"
+    fpath.write_text(field_to_json(ball_mask(g, 0.3).indicator()))
+    assert run_cli("choquet", "--input", str(fpath), "--N", "32", "--tol", "0") == 1
+    assert "tol must be positive" in capsys.readouterr().err

@@ -58,7 +58,7 @@ def test_adams_zero_sample_skipped(g64):
     from capax.verify import check_adams
 
     zero = Field(g64, np.zeros(g64.shape), nonneg=True)
-    rep = check_adams(1.0, P, [zero], "riesz")
+    rep = check_adams(P.replace(q=1.0), [zero], "riesz")
     assert rep.samples[0].skipped
     assert rep.max_ratio == 0.0
 
@@ -82,14 +82,14 @@ def test_ibp_identity_and_sweep(g64):
 def test_boundedness_two_atoms_exact_constant(g64):
     factor = 2.0 ** ((P.n - P.alpha * P.s) / (P.s - 1.0))
     mu2 = Measure.from_atoms(g64, [[-0.15], [0.15]], [1.0, 1.0])
-    rep = check_boundedness([mu2], P)
+    rep = check_boundedness(P, [mu2])
     assert rep.meta["factor"] == pytest.approx(factor)
     assert rep.samples[0].ratio <= 1.0 + 0.02
 
 
 def test_boundedness_truncated_variant(g64):
     mu = Measure.from_atoms(g64, [[-0.2], [0.1], [0.3]], [1.0, 0.5, 2.0])
-    rep = check_boundedness([mu], P, R=0.5)
+    rep = check_boundedness(P, [mu], R=0.5)
     assert rep.meta["R"] == 0.5
     assert rep.samples[0].ratio <= 1.0 + 0.02
 
