@@ -210,6 +210,18 @@ def test_solver_degradation_exit_two(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["converged"] is False
 
 
+@pytest.mark.parametrize("kind", ["riesz", "bessel"])
+@pytest.mark.parametrize("s", ["1.001", "1.003"])
+def test_s_near_one_exits_two_without_traceback(tmp_path, capsys, kind, s):
+    out = tmp_path / "cap.json"
+    code = run_cli("capacity", "--set", "ball:0.2", "--kind", kind, "--alpha", "0.4",
+                   "--s", s, "--n", "1", "--N", "64", "--output", str(out))
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False and np.isfinite(doc["value"]) and np.isfinite(doc["gap"])
+
+
 def test_zero_levels_exit_one(tmp_path, capsys):
     g = Grid(1, 1.0, 64)
     fpath = tmp_path / "ramp.json"

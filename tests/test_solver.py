@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,77 @@ def test_size_selected_operator(n, N, alpha, method, kind, monkeypatch):
         fft = capacity(E, P, kind, tol=tol)
     assert fft.converged
     assert _agree(res.value, fft.value, tol)
+
+
+def _forbid_cg(*args, **kwargs):
+    raise AssertionError("CG ran where the direct free-set step applies")
+
+
+def _counting_cg(monkeypatch):
+    calls = []
+    orig = solver._cg
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["max_iter"])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_cg", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["riesz", "bessel"])
+@pytest.mark.parametrize("s", [1.05, 2.0, 3.0])
+def test_direct_newton_step_on_dense_grids(kind, s, monkeypatch):
+    # on 64 nodes every free set is within the work bound 64 * |F|^2 <= 64^3,
+    # so with the default budget no Newton step runs CG
+    tol = 1e-6
+    g = Grid(1, 1.0, 64)
+    P = Params(1, 0.25, s)
+    u = bessel_potential(Field(g, np.exp(-g.radii**2 / 0.05), nonneg=True), P.alpha).values
+    for E in (ball_mask(g, 0.3), Mask(g, u >= 0.5 * u.max())):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_cg", _forbid_cg)
+            res = capacity(E, P, kind, tol=tol)
+        assert res.converged
+        assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "DENSE_MAX_NODES", 0)
+            fft = capacity(E, P, kind, tol=tol)
+        assert fft.converged
+        assert _agree(res.value, fft.value, tol)
+
+
+def test_cg_step_beyond_direct_work_bound(monkeypatch):
+    # the first Newton step's free set is the whole set: 256 * 97^2 > 64^3
+    tol = 1e-6
+    g = Grid(2, 1.0, 16)
+    E = ball_mask(g, 0.6)
+    assert g.size * E.members.sum() ** 2 > solver.DIRECT_MAX_WORK
+    calls = _counting_cg(monkeypatch)
+    res = capacity(E, Params(2, 0.5, 2.0), "riesz", tol=tol)
+    assert calls
+    assert res.converged
+    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+
+
+def test_cg_step_when_budget_below_free_set(monkeypatch):
+    # the seed and the first Newton step leave max_iter - 2 < |F| steps, which
+    # a direct step (charged |F|) cannot pay for; CG then may spend all of them
+    g = Grid(1, 1.0, 64)
+    E = ball_mask(g, 0.3)
+    n_set = int(E.members.sum())
+    calls = _counting_cg(monkeypatch)
+    res = capacity(E, Params(1, 0.4, 2.0), tol=1e-12, max_iter=n_set)
+    assert calls and calls[0] == n_set - 2
+    assert res.iterations <= n_set
+    assert res.value > 0 and math.isfinite(res.gap)
+
+
+@pytest.mark.parametrize("kind", ["riesz", "bessel"])
+@pytest.mark.parametrize("s", [1.001, 1.003])
+def test_s_near_one_gives_finite_result(kind, s):
+    # the optimal ray factor (c s)^(-1/(s-1)) overflowed a float here
+    res = capacity(ball_mask(Grid(1, 1.0, 64), 0.2), Params(1, 0.4, s), kind)
+    assert math.isfinite(res.value) and res.value > 0
+    assert math.isfinite(res.gap) and math.isfinite(res.feasibility_residual)
+    assert np.all(np.isfinite(res.extremal.values))
