@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
-One command per process: parse flags, dispatch to the library, print a short
-human summary, and write machine output only when --output is given. A
+One command per process: parse flags, dispatch through the `_COMMANDS` table
+(and `_NORMS` for `capax norm`) to the library, print a short human summary,
+and write machine output only when --output is given. A command that reads a
+Field or Mask runs on that input's grid, whose dimension replaces --n. A
 --config file holds flat key=value lines; each line is parsed as the flag of
 that name (`set=ball:0.2` as `--set=ball:0.2`), with the same checks, and
 placed before the command-line flags, so flags win. A
@@ -36,8 +38,6 @@ from .verify import CHECK_NAMES, refinement_study, report_to_csv, report_to_json
 
 __all__ = ["RunConfig", "run", "main"]
 
-_COMMANDS = ("capacity", "potential", "wolff", "choquet", "norm", "verify", "report")
-
 
 @dataclass
 class RunConfig:
@@ -61,14 +61,14 @@ class RunConfig:
     input: str | None = None
     t: float = 2.0
     norm: str | None = None
-    method: str = "fast"
     R: float | None = None
     atoms: str | None = None
     extremal_out: str | None = None
     refine: str | None = None
 
-    def params(self) -> Params:
-        return Params(self.n, self.alpha, self.s, self.q, self.p, self.r)
+    def params(self, grid: Grid) -> Params:
+        """The exponents, checked in the dimension of the grid the command runs on."""
+        return Params(grid.dim, self.alpha, self.s, self.q, self.p, self.r)
 
     def grid(self) -> Grid:
         return Grid(self.n, self.L, self.N)
@@ -103,9 +103,7 @@ def _build_parser() -> _Parser:
                         help="mask constructor, e.g. ball:0.25 or ball:0.2+cube:0.3")
     parser.add_argument("--input", help="input file (Field/Mask/report JSON)")
     parser.add_argument("--t", type=float, help="exponent t, for the checks that take one")
-    parser.add_argument("--norm",
-                        choices=("m", "otilde", "kv", "n", "f", "lqcap", "lambda", "beta"))
-    parser.add_argument("--method", choices=("fast", "direct"))
+    parser.add_argument("--norm", choices=_NORMS)
     parser.add_argument("--R", type=float, help="Wolff truncation radius (omit for infinite)")
     parser.add_argument("--atoms", help="atom list 'x[,y[,z]]:mass;...'")
     parser.add_argument("--extremal-out", dest="extremal_out",
@@ -181,18 +179,15 @@ def parse_atoms(spec: str, dim: int):
     return positions, masses
 
 
-def _read_field(path: str) -> Field:
+def _read(path: str) -> str:
     with open(path) as fh:
-        return field_from_json(fh.read())
+        return fh.read()
 
 
-def _load_mask(cfg: RunConfig, grid: Grid) -> Mask:
-    if cfg.set_spec:
-        return parse_set_spec(grid, cfg.set_spec)
-    if cfg.input:
-        with open(cfg.input) as fh:
-            return mask_from_json(fh.read())
-    raise ValueError("capacity needs --set or --input")
+def _read_input(cfg: RunConfig, what: str) -> str:
+    if not cfg.input:
+        raise ValueError(f"{cfg.command} needs --input ({what})")
+    return _read(cfg.input)
 
 
 def _write(path: str, text: str):
@@ -222,7 +217,7 @@ def run(cfg: RunConfig) -> int:
     start = time.monotonic()
     with solve_scope() as scope:
         before = scope.counts()
-        outputs, degraded = _execute(cfg)
+        outputs, degraded = _COMMANDS[cfg.command](cfg)
         solver = scope.since(before)
     for path, text in outputs:
         _write(path, text)
@@ -231,129 +226,127 @@ def run(cfg: RunConfig) -> int:
     return 2 if degraded or solver["nonconverged"] else 0
 
 
-def _execute(cfg: RunConfig) -> tuple:
-    """Run the command; returns the (path, text) outputs and the degraded flag."""
-    outputs = []
-    degraded = False
+# -- commands: each returns its (path, text) outputs and a degraded flag ------
 
-    if cfg.command == "capacity":
-        grid = cfg.grid()
-        mask = _load_mask(cfg, grid)
-        result = capacity(mask, cfg.params(), cfg.kind, tol=cfg.tol)
-        degraded = not result.converged
-        print(f"capacity value={result.value:.10g} residual={result.feasibility_residual:.3g} "
-              f"gap={result.gap:.3g} iterations={result.iterations} converged={result.converged}")
-        if cfg.output:
-            outputs.append((cfg.output, result.to_json()))
-        if cfg.extremal_out:
-            outputs.append((cfg.extremal_out, field_to_json(result.extremal)))
+def _output(cfg: RunConfig, serialize) -> list:
+    """The --output file as a (path, text) pair, if --output is given."""
+    return [(cfg.output, serialize())] if cfg.output else []
 
-    elif cfg.command == "potential":
-        if not cfg.input:
-            raise ValueError("potential needs --input (a Field JSON file)")
-        f = _read_field(cfg.input)
-        out = potential(f, cfg.alpha, cfg.kind, cfg.method)
-        print(f"potential kind={cfg.kind} max={np.max(out.values):.10g} "
-              f"min={np.min(out.values):.10g}")
-        if cfg.output:
-            outputs.append((cfg.output, field_to_json(out)))
 
-    elif cfg.command == "wolff":
-        grid = cfg.grid()
-        atoms = ()
-        density = None
-        if cfg.atoms:
-            positions, masses = parse_atoms(cfg.atoms, grid.dim)
-            atoms = tuple(zip([tuple(p) for p in positions], masses))
-        if cfg.input:
-            density = _read_field(cfg.input)
-            grid = density.grid
-        if not atoms and density is None:
-            raise ValueError("wolff needs --atoms and/or --input density")
-        mu = Measure(grid, atoms, density)
-        R = math.inf if cfg.R is None else cfg.R
-        out = wolff_potential(mu, cfg.alpha, cfg.s, R)
-        print(f"wolff max={np.max(out.values):.10g} total_mass={mu.total_mass:.10g}")
-        if cfg.output:
-            outputs.append((cfg.output, field_to_json(out)))
-
-    elif cfg.command == "choquet":
-        if not cfg.input:
-            raise ValueError("choquet needs --input (a nonnegative Field JSON file)")
-        f = _read_field(cfg.input)
-        value = choquet_integral(f, cfg.params(), cfg.kind, levels=cfg.levels, tol=cfg.tol)
-        print(f"choquet integral={value:.10g}")
-        if cfg.output:
-            outputs.append((cfg.output, json.dumps({"value": value})))
-
-    elif cfg.command == "norm":
-        if not cfg.norm:
-            raise ValueError("norm needs --norm {m,otilde,kv,n,f,lqcap,lambda,beta}")
-        if not cfg.input:
-            raise ValueError("norm needs --input (a Field JSON file)")
-        f = _read_field(cfg.input)
-        params = cfg.params()
-        if cfg.norm == "lqcap":
-            if cfg.q is None:
-                raise ValueError("lqcap needs --q")
-            value = lq_cap_norm(f, cfg.q, params, cfg.kind, levels=cfg.levels, tol=cfg.tol)
-            print(f"lqcap norm={value:.10g}")
-            if cfg.output:
-                outputs.append((cfg.output, json.dumps({"value": value})))
-        else:
-            fns = {"m": m_norm, "otilde": otilde_norm, "kv": kv_norm, "n": n_norm,
-                   "f": f_norm, "lambda": lambda_functional, "beta": beta_functional}
-            est = fns[cfg.norm](f, params, cfg.kind, tol=cfg.tol)
-            print(f"{cfg.norm} norm: lower={est.lower:.10g} upper={est.upper:.10g} "
-                  f"flags={list(est.flags)}")
-            if cfg.output:
-                outputs.append((cfg.output, est.to_json()))
-
-    elif cfg.command == "verify":
-        if not cfg.check:
-            raise ValueError("verify needs --check")
-        params = cfg.params()
-        # the check registry passes each check only the keywords it takes
-        kw = {"t": cfg.t, "R": math.inf if cfg.R is None else cfg.R}
-        if cfg.refine:
-            Ns = [int(x) for x in cfg.refine.split(",")]
-            report = refinement_study(cfg.check, params, Ns, cfg.L, cfg.kind,
-                                      cfg.seed, cfg.count, cfg.levels, cfg.tol, **kw)
-        else:
-            report = run_check(cfg.check, params, cfg.grid(), cfg.kind, cfg.seed,
-                               cfg.count, cfg.levels, cfg.tol, **kw)
-        n_done = sum(1 for s in report.samples if not s.skipped)
-        print(f"check={report.inequality_id} samples={n_done} max_ratio={report.max_ratio:.6g}")
-        for N, ratio in report.refinement:
-            print(f"  N={N}: max_ratio={ratio:.6g}")
-        if math.isinf(report.max_ratio):
-            raise ValueError("infinite ratio in report: inequality check failed hard")
-        if cfg.output:
-            outputs.append((cfg.output, report_to_json(report)))
-            base = cfg.output[:-5] if cfg.output.endswith(".json") else cfg.output
-            outputs.append((base + ".csv", report_to_csv(report)))
-
-    elif cfg.command == "report":
-        if not cfg.input:
-            raise ValueError("report needs --input (a report JSON file)")
-        with open(cfg.input) as fh:
-            doc = json.load(fh)
-        print(f"inequality: {doc.get('inequality_id')}")
-        print(f"max_ratio:  {doc.get('max_ratio')}")
-        for s in doc.get("samples", []):
-            mark = " (skipped)" if s.get("skipped") else ""
-            print(f"  #{s['sample_id']}: lhs={s['lhs']:.6g} rhs={s['rhs']:.6g} "
-                  f"ratio={s['ratio']:.6g}{mark}")
-        if cfg.output:
-            rows = ["sample_id,lhs,rhs,ratio"]
-            rows += [f"{s['sample_id']},{s['lhs']!r},{s['rhs']!r},{s['ratio']!r}"
-                     for s in doc.get("samples", [])]
-            outputs.append((cfg.output, "\n".join(rows) + "\n"))
-
+def _capacity(cfg: RunConfig) -> tuple:
+    if cfg.set_spec:
+        mask = parse_set_spec(cfg.grid(), cfg.set_spec)
+    elif cfg.input:
+        mask = mask_from_json(_read(cfg.input))
     else:
-        raise ValueError(f"unknown command {cfg.command!r}")
-    return outputs, degraded
+        raise ValueError("capacity needs --set or --input")
+    result = capacity(mask, cfg.params(mask.grid), cfg.kind, tol=cfg.tol)
+    print(f"capacity value={result.value:.10g} residual={result.feasibility_residual:.3g} "
+          f"gap={result.gap:.3g} iterations={result.iterations} converged={result.converged}")
+    outputs = _output(cfg, result.to_json)
+    if cfg.extremal_out:
+        outputs.append((cfg.extremal_out, field_to_json(result.extremal)))
+    return outputs, not result.converged
 
+
+def _potential(cfg: RunConfig) -> tuple:
+    f = field_from_json(_read_input(cfg, "a Field JSON file"))
+    out = potential(f, cfg.alpha, cfg.kind)
+    print(f"potential kind={cfg.kind} max={np.max(out.values):.10g} "
+          f"min={np.min(out.values):.10g}")
+    return _output(cfg, lambda: field_to_json(out)), False
+
+
+def _wolff(cfg: RunConfig) -> tuple:
+    density = field_from_json(_read(cfg.input)) if cfg.input else None
+    grid = cfg.grid() if density is None else density.grid
+    atoms = tuple(zip(*parse_atoms(cfg.atoms, grid.dim))) if cfg.atoms else ()
+    if not atoms and density is None:
+        raise ValueError("wolff needs --atoms and/or --input density")
+    mu = Measure(grid, atoms, density)
+    out = wolff_potential(mu, cfg.alpha, cfg.s, math.inf if cfg.R is None else cfg.R)
+    print(f"wolff max={np.max(out.values):.10g} total_mass={mu.total_mass:.10g}")
+    return _output(cfg, lambda: field_to_json(out)), False
+
+
+def _choquet(cfg: RunConfig) -> tuple:
+    f = field_from_json(_read_input(cfg, "a nonnegative Field JSON file"))
+    value = choquet_integral(f, cfg.params(f.grid), cfg.kind, levels=cfg.levels, tol=cfg.tol)
+    print(f"choquet integral={value:.10g}")
+    return _output(cfg, lambda: json.dumps({"value": value})), False
+
+
+def _norm(cfg: RunConfig) -> tuple:
+    if not cfg.norm:
+        raise ValueError(f"norm needs --norm {{{','.join(_NORMS)}}}")
+    f = field_from_json(_read_input(cfg, "a Field JSON file"))
+    summary, serialize = _NORMS[cfg.norm](f, cfg.params(f.grid), cfg)
+    print(summary)
+    return _output(cfg, serialize), False
+
+
+def _verify(cfg: RunConfig) -> tuple:
+    if not cfg.check:
+        raise ValueError("verify needs --check")
+    grid = cfg.grid()
+    params = cfg.params(grid)
+    # the check registry passes each check only the keywords it takes
+    kw = {"t": cfg.t, "R": math.inf if cfg.R is None else cfg.R}
+    if cfg.refine:
+        Ns = [int(x) for x in cfg.refine.split(",")]
+        report = refinement_study(cfg.check, params, Ns, cfg.L, cfg.kind,
+                                  cfg.seed, cfg.count, cfg.levels, cfg.tol, **kw)
+    else:
+        report = run_check(cfg.check, params, grid, cfg.kind, cfg.seed,
+                           cfg.count, cfg.levels, cfg.tol, **kw)
+    n_done = sum(1 for s in report.samples if not s.skipped)
+    print(f"check={report.inequality_id} samples={n_done} max_ratio={report.max_ratio:.6g}")
+    for N, ratio in report.refinement:
+        print(f"  N={N}: max_ratio={ratio:.6g}")
+    if math.isinf(report.max_ratio):
+        raise ValueError("infinite ratio in report: inequality check failed hard")
+    if not cfg.output:
+        return [], False
+    base = cfg.output[:-5] if cfg.output.endswith(".json") else cfg.output
+    return [(cfg.output, report_to_json(report)), (base + ".csv", report_to_csv(report))], False
+
+
+def _report(cfg: RunConfig) -> tuple:
+    doc = json.loads(_read_input(cfg, "a report JSON file"))
+    print(f"inequality: {doc.get('inequality_id')}")
+    print(f"max_ratio:  {doc.get('max_ratio')}")
+    for s in doc.get("samples", []):
+        mark = " (skipped)" if s.get("skipped") else ""
+        print(f"  #{s['sample_id']}: lhs={s['lhs']:.6g} rhs={s['rhs']:.6g} "
+              f"ratio={s['ratio']:.6g}{mark}")
+    return _output(cfg, lambda: report_to_csv(doc)), False
+
+
+_COMMANDS = {"capacity": _capacity, "potential": _potential, "wolff": _wolff,
+             "choquet": _choquet, "norm": _norm, "verify": _verify, "report": _report}
+
+
+# -- norms: each maps (field, params, cfg) to a summary line and a serializer -
+
+def _estimate(evaluator):
+    """A `_NORMS` entry for an evaluator returning a two-sided NormEstimate."""
+    def norm(f: Field, params: Params, cfg: RunConfig) -> tuple:
+        est = evaluator(f, params, cfg.kind, tol=cfg.tol)
+        return (f"{cfg.norm} norm: lower={est.lower:.10g} upper={est.upper:.10g} "
+                f"flags={list(est.flags)}", est.to_json)
+    return norm
+
+
+def _lqcap(f: Field, params: Params, cfg: RunConfig) -> tuple:
+    if cfg.q is None:
+        raise ValueError("lqcap needs --q")
+    value = lq_cap_norm(f, cfg.q, params, cfg.kind, levels=cfg.levels, tol=cfg.tol)
+    return f"lqcap norm={value:.10g}", lambda: json.dumps({"value": value})
+
+
+_NORMS = {"m": _estimate(m_norm), "otilde": _estimate(otilde_norm), "kv": _estimate(kv_norm),
+          "n": _estimate(n_norm), "f": _estimate(f_norm), "lqcap": _lqcap,
+          "lambda": _estimate(lambda_functional), "beta": _estimate(beta_functional)}
 
 def main(argv=None) -> int:
     try:

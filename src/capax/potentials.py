@@ -8,9 +8,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .convolve import direct_linear_convolve, fft_linear_convolve
+from .convolve import fft_linear_convolve
 from .grid import Field, Grid, integrate
-from .kernels import KernelTable, bessel_kernel_table, kernel_table, riesz_kernel_table
+from .kernels import KernelTable, kernel_table
 
 __all__ = [
     "Measure",
@@ -27,38 +27,33 @@ def apply_kernel(table: KernelTable, values: np.ndarray, method: str = "fast") -
     """h^n-weighted linear convolution of grid values with a kernel table.
 
     Methods: "fast" is the zero-padded FFT with the table's cached spectrum;
-    "direct" is O(N^{2n}) summation, kept as a test oracle; "dense" multiplies
-    by the table's cached operator matrix, which is quicker on small grids.
-    The potential wrappers below default to "fast" on every grid: the dense
+    "dense" multiplies by the table's cached operator matrix, which is quicker
+    on small grids. The potentials below use "fast" on every grid: the dense
     product rounds differently, and the Choquet integral of a potential is
-    sensitive to rounding-level ties between its node values.
+    sensitive to rounding-level ties between its node values. The O(N^{2n})
+    `convolve.direct_linear_convolve` is the tests' reference for both.
     """
     if values.shape != table.grid.shape:
         raise ValueError("incompatible grids: field shape does not match kernel table")
     if method == "dense":
         return (table.dense @ values.ravel()).reshape(values.shape)
-    if method == "fast":
-        out = fft_linear_convolve(values, table.values, kernel_rfft=table.padded_rfft)
-    elif method == "direct":
-        out = direct_linear_convolve(values, table.values)
-    else:
-        raise ValueError(f"method must be 'fast', 'direct' or 'dense', got {method!r}")
+    if method != "fast":
+        raise ValueError(f"method must be 'fast' or 'dense', got {method!r}")
+    out = fft_linear_convolve(values, table.values, kernel_rfft=table.padded_rfft)
     return out * table.grid.cell_volume
 
 
-def riesz_potential(f: Field, alpha: float, method: str = "fast") -> Field:
-    table = riesz_kernel_table(f.grid, alpha)
-    return Field(f.grid, apply_kernel(table, f.values, method), nonneg=f.nonneg)
-
-
-def bessel_potential(f: Field, alpha: float, method: str = "fast") -> Field:
-    table = bessel_kernel_table(f.grid, alpha)
-    return Field(f.grid, apply_kernel(table, f.values, method), nonneg=f.nonneg)
-
-
-def potential(f: Field, alpha: float, kind: str, method: str = "fast") -> Field:
+def potential(f: Field, alpha: float, kind: str) -> Field:
     table = kernel_table(f.grid, alpha, kind)
-    return Field(f.grid, apply_kernel(table, f.values, method), nonneg=f.nonneg)
+    return Field(f.grid, apply_kernel(table, f.values), nonneg=f.nonneg)
+
+
+def riesz_potential(f: Field, alpha: float) -> Field:
+    return potential(f, alpha, "riesz")
+
+
+def bessel_potential(f: Field, alpha: float) -> Field:
+    return potential(f, alpha, "bessel")
 
 
 @dataclass(frozen=True)

@@ -550,10 +550,12 @@ def report_to_json(report: ConstantReport) -> str:
     return json.dumps(doc, indent=2)
 
 
-def report_to_csv(report: ConstantReport) -> str:
+def report_to_csv(report: ConstantReport | dict) -> str:
+    """The sample table as CSV, from a report or from its `report_to_json` document."""
+    samples = report.get("samples", []) if isinstance(report, dict) else map(vars, report.samples)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["sample_id", "lhs", "rhs", "ratio"])
-    for s in report.samples:
-        writer.writerow([s.sample_id, repr(s.lhs), repr(s.rhs), repr(s.ratio)])
+    for s in samples:
+        writer.writerow([s["sample_id"], *(repr(float(s[k])) for k in ("lhs", "rhs", "ratio"))])
     return buf.getvalue()

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capax.cli import main, parse_args, parse_atoms, parse_set_spec
+from capax.cli import _NORMS, main, parse_args, parse_atoms, parse_set_spec
 from capax.grid import (Field, Grid, Params, ball_mask, cube_mask, field_from_json,
                         field_to_json)
-from capax.capacity import capacity
+from capax.capacity import capacity, choquet_integral
 from capax.verify import CHECK_NAMES
 
 
@@ -307,3 +307,70 @@ def test_zero_tol_exits_one(tmp_path, capsys):
     fpath.write_text(field_to_json(ball_mask(g, 0.3).indicator()))
     assert run_cli("choquet", "--input", str(fpath), "--N", "32", "--tol", "0") == 1
     assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_method_flag_and_config_key_removed(tmp_path, capsys):
+    g = Grid(1, 1.0, 32)
+    fpath = tmp_path / "field.json"
+    fpath.write_text(field_to_json(ball_mask(g, 0.3).indicator()))
+    assert run_cli("potential", "--input", str(fpath), "--method", "fast") == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method=fast\n")
+    assert run_cli("potential", "--config", str(cfg), "--input", str(fpath)) == 1
+    assert "unknown config key 'method'" in capsys.readouterr().err
+
+
+def test_input_grid_sets_exponent_dimension(tmp_path, capsys):
+    # alpha * s = 1.4 lies within n/s only for n = 2, whatever --n says
+    g1, g2 = Grid(1, 1.0, 32), Grid(2, 1.0, 16)
+    f1 = tmp_path / "f1d.json"
+    f1.write_text(field_to_json(Field(g1, np.exp(-g1.axis**2 / 0.08), nonneg=True)))
+    f2 = Field(g2, np.exp(-g2.radii**2 / 0.08), nonneg=True)
+    f2path = tmp_path / "f2d.json"
+    f2path.write_text(field_to_json(f2))
+    args = ["--alpha", "0.7", "--s", "2", "--levels", "4"]
+    assert run_cli("choquet", "--input", str(f1), "--n", "2", *args) == 1
+    assert "alpha must lie in" in capsys.readouterr().err
+    out = tmp_path / "ch.json"
+    assert run_cli("choquet", "--input", str(f2path), *args, "--output", str(out)) == 0
+    lib = choquet_integral(f2, Params(2, 0.7, 2.0), levels=4)
+    assert json.loads(out.read_text())["value"] == lib
+    capsys.readouterr()
+
+
+def test_wolff_atoms_read_on_density_grid(tmp_path, capsys):
+    g = Grid(2, 1.0, 16)
+    fpath = tmp_path / "dens.json"
+    fpath.write_text(field_to_json(Field(g, np.exp(-g.radii**2 / 0.08), nonneg=True)))
+    args = ["wolff", "--input", str(fpath), "--atoms", "0.1,0.2:1.0", "--alpha", "0.4",
+            "--s", "2"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(*args, "--output", str(a)) == 0
+    assert run_cli(*args, "--n", "2", "--output", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+
+
+def test_report_csv_matches_verify_csv(tmp_path, capsys):
+    rep = tmp_path / "v.json"
+    assert run_cli("verify", "--check", "csim", "--n", "1", "--N", "32", "--count", "3",
+                   "--levels", "8", "--output", str(rep)) == 0
+    out = tmp_path / "r.csv"
+    assert run_cli("report", "--input", str(rep), "--output", str(out)) == 0
+    assert out.read_bytes() == (tmp_path / "v.csv").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("norm", list(_NORMS))
+def test_norm_runs_every_registered_norm(tmp_path, capsys, norm):
+    g = Grid(1, 1.0, 32)
+    fpath = tmp_path / "field.json"
+    fpath.write_text(field_to_json(Field(g, np.exp(-g.axis**2 / 0.08), nonneg=True)))
+    out = tmp_path / "norm.json"
+    code = run_cli("norm", "--norm", norm, "--input", str(fpath), "--n", "1", "--N", "32",
+                   "--alpha", "0.4", "--s", "2", "--q", "1.5", "--p", "2", "--r", "1",
+                   "--levels", "8", "--output", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert np.isfinite(doc["upper"] if "upper" in doc else doc["value"])
+    capsys.readouterr()
