@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from capax.convolve import direct_linear_convolve, fft_linear_convolve
+from capax.families import field_family
 from capax.grid import Field, Grid, ball_mask
 from capax.kernels import (bessel_kernel_table, riesz_gamma, riesz_kernel_table,
                            unit_sphere_area)
@@ -165,6 +166,21 @@ def test_wolff_density_vs_atom_consistency():
     wa = wolff_potential(mu_a, 0.4, 2.0).values
     far = np.abs(g.axis - g.axis[k]) > 0.1
     assert np.max(np.abs(wd[far] / wa[far] - 1)) <= 0.10
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 1.0, 16), Grid(3, 1.0, 8)], ids=["2d", "3d"])
+@pytest.mark.parametrize("R", [math.inf, 0.5])
+def test_wolff_density_grid_matches_points_nd(grid, R):
+    # the on-grid stencil sums and the per-point sorted-distance sums count
+    # the same nodes, so the two evaluations agree to rounding; relative to the
+    # max, since the FFT sums leave ~1e-18 where the exact mass underflows
+    for f in field_family("mixed", 5, 4, grid):
+        mu = Measure.from_density(f)
+        on_grid = wolff_potential(mu, 0.4, 2.0, R).values.ravel()
+        at_nodes = wolff_at_points(mu, 0.4, 2.0, grid.nodes, R)
+        top = np.max(at_nodes)
+        assert top > 0
+        assert np.max(np.abs(on_grid - at_nodes)) <= 1e-12 * top
 
 
 def test_wolff_boundedness_single_atom(g64):
