@@ -145,6 +145,8 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float, max_iter: int,
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if params.n != grid.dim:
+        raise ValueError(f"params.n = {params.n} but the grid dimension is {grid.dim}")
     params.validate_for(kind)
     table = kernel_table(grid, params.alpha, kind)
     scope = _SCOPE.get()

@@ -254,34 +254,28 @@ def lp_norm(f: Field, t: float) -> float:
     return float(integrate(Field(f.grid, np.abs(f.values) ** t)) ** (1.0 / t))
 
 
+def _offsets_from(grid: Grid, center) -> np.ndarray:
+    """Node coordinates minus center (default origin), shape (size, dim)."""
+    c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float).reshape(grid.dim)
+    return grid.nodes - c
+
+
 def ball_mask(grid: Grid, radius: float, center=None) -> Mask:
     """Nodes within the closed ball of given radius about center (default origin)."""
-    if center is None:
-        c = np.zeros(grid.dim)
-    else:
-        c = np.asarray(center, dtype=float).reshape(grid.dim)
-    d = np.sqrt(np.sum((grid.nodes - c) ** 2, axis=-1)).reshape(grid.shape)
+    d = np.sqrt(np.sum(_offsets_from(grid, center) ** 2, axis=-1)).reshape(grid.shape)
     return Mask(grid, d <= radius)
 
 
 def cube_mask(grid: Grid, side: float, center=None) -> Mask:
     """Nodes within the closed axis-aligned cube of given side about center."""
-    if center is None:
-        c = np.zeros(grid.dim)
-    else:
-        c = np.asarray(center, dtype=float).reshape(grid.dim)
-    d = np.max(np.abs(grid.nodes - c), axis=-1).reshape(grid.shape)
+    d = np.max(np.abs(_offsets_from(grid, center)), axis=-1).reshape(grid.shape)
     return Mask(grid, d <= side / 2.0)
 
 
 def annulus_mask(grid: Grid, r_inner: float, r_outer: float, center=None) -> Mask:
     if not 0 <= r_inner < r_outer:
         raise ValueError("need 0 <= r_inner < r_outer")
-    if center is None:
-        c = np.zeros(grid.dim)
-    else:
-        c = np.asarray(center, dtype=float).reshape(grid.dim)
-    d = np.sqrt(np.sum((grid.nodes - c) ** 2, axis=-1)).reshape(grid.shape)
+    d = np.sqrt(np.sum(_offsets_from(grid, center) ** 2, axis=-1)).reshape(grid.shape)
     return Mask(grid, (d >= r_inner) & (d <= r_outer))
 
 

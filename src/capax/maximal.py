@@ -1,10 +1,12 @@
-"""Discrete Hardy-Littlewood maximal function and A1 characteristics.
+"""Ball masses, the discrete Hardy-Littlewood maximal function and A1 characteristics.
 
-The supremum over all radii is approximated on the dyadic set
-{h, 2h, 4h, ..., 2L} (truncated variant: radii <= 1). Ball averages are
-normalized by the in-box portion of the ball, so constants are reproduced
-exactly. In n=1 the cell-ball overlap is exact; in n>=2 balls collect the
-nodes whose centers they contain.
+The ball rule lives here, and the Wolff potentials (`potentials`) share it. In
+n=1 a ball's mass is the exact integral of the piecewise-constant extension
+over the in-box part of [c - r, c + r]; in n>=2 a ball collects the nodes
+within r * BALL_SLACK of its center. The supremum over all radii is
+approximated on the dyadic set {h, 2h, 4h, ..., 2L} (truncated variant:
+radii <= 1). Averages divide by the in-box length (n=1) or the node count
+(n>=2), so constants are reproduced exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from .convolve import fft_linear_convolve
 from .grid import Field, Grid
 from .kernels import _offset_radii
 
-__all__ = ["maximal_function", "a1_constant", "dyadic_radii", "ball_stencil"]
+__all__ = ["BALL_SLACK", "interval_mass", "ball_stencil", "ball_sums", "maximal_function",
+           "a1_constant", "dyadic_radii"]
+
+BALL_SLACK = 1.0 + 1e-12   # a point at distance d lies in B(c, r) when d <= r * BALL_SLACK
 
 
 def dyadic_radii(grid: Grid, truncated: bool) -> list:
@@ -25,37 +30,32 @@ def dyadic_radii(grid: Grid, truncated: bool) -> list:
     h = grid.spacing
     radii = []
     r = h
-    while r <= 2.0 * grid.half_width * (1.0 + 1e-12):
-        if not truncated or r <= 1.0 + 1e-12:
+    while r <= 2.0 * grid.half_width * BALL_SLACK:
+        if not truncated or r <= BALL_SLACK:
             radii.append(r)
         r *= 2.0
     return radii
 
 
-def _ball_average_1d(grid: Grid, values: np.ndarray, radius: float) -> np.ndarray:
-    """Exact averages of the piecewise-constant extension over [x-r, x+r] (in-box part)."""
+def interval_mass(grid: Grid, values: np.ndarray, centers, radii) -> np.ndarray:
+    """Exact integral of the piecewise-constant 1D `values` over the in-box part of
+    [c - r, c + r]; centers and radii broadcast against each other."""
     L, h, N = grid.half_width, grid.spacing, grid.points_per_axis
     edges = -L + h * np.arange(N + 1)
     cum = np.concatenate([[0.0], np.cumsum(values) * h])
-    x = grid.axis
-    lo = np.clip(x - radius, -L, L)
-    hi = np.clip(x + radius, -L, L)
-    mass = np.interp(hi, edges, cum) - np.interp(lo, edges, cum)
-    length = hi - lo
-    return mass / length
+    lo = np.clip(centers - radii, -L, L)
+    hi = np.clip(centers + radii, -L, L)
+    return np.interp(hi, edges, cum) - np.interp(lo, edges, cum)
 
 
 def ball_stencil(grid: Grid, radius: float) -> np.ndarray:
     """Centered 0/1 stencil of lattice offsets with |z| h <= radius."""
-    return (_offset_radii(grid) <= radius * (1.0 + 1e-12)).astype(float)
+    return (_offset_radii(grid) <= radius * BALL_SLACK).astype(float)
 
 
-def _ball_average_nd(grid: Grid, values: np.ndarray, radius: float) -> np.ndarray:
-    stencil = ball_stencil(grid, radius)
-    sums = fft_linear_convolve(values, stencil)
-    counts = fft_linear_convolve(np.ones(grid.shape), stencil)
-    counts = np.maximum(np.rint(counts), 1.0)
-    return np.maximum(sums, 0.0) / counts
+def ball_sums(grid: Grid, values: np.ndarray, radius: float) -> np.ndarray:
+    """Node-counting sums of `values` over the ball about every node, clipped at 0."""
+    return np.maximum(fft_linear_convolve(values, ball_stencil(grid, radius)), 0.0)
 
 
 def maximal_function(w: Field, truncated: bool = False) -> Field:
@@ -65,13 +65,16 @@ def maximal_function(w: Field, truncated: bool = False) -> Field:
     radii = dyadic_radii(grid, truncated)
     if not radii:
         return Field(grid, vals, nonneg=True)
-    best = np.full(grid.shape, -np.inf)
-    for r in radii:
-        if grid.dim == 1:
-            avg = _ball_average_1d(grid, vals, r)
-        else:
-            avg = _ball_average_nd(grid, vals, r)
-        best = np.maximum(best, avg)
+    if grid.dim == 1:
+        # every radius in one broadcast: rows are radii, columns are nodes
+        x, L, rr = grid.axis, grid.half_width, np.array(radii)[:, None]
+        length = np.clip(x + rr, -L, L) - np.clip(x - rr, -L, L)
+        best = np.max(interval_mass(grid, vals, x, rr) / length, axis=0)
+    else:
+        best = np.full(grid.shape, -np.inf)
+        for r in radii:
+            counts = np.rint(ball_sums(grid, np.ones(grid.shape), r))
+            best = np.maximum(best, ball_sums(grid, vals, r) / np.maximum(counts, 1.0))
     return Field(grid, best, nonneg=True)
 
 

@@ -1,4 +1,7 @@
-"""Riesz, Bessel, and Wolff potentials of grid functions and measures."""
+"""Riesz, Bessel, and Wolff potentials of grid functions and measures.
+
+The Wolff potentials take the ball masses of a density from `maximal`, which
+owns the ball rule (exact in n=1, node counting in n>=2)."""
 
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import numpy as np
 from .convolve import fft_linear_convolve
 from .grid import Field, Grid, integrate
 from .kernels import KernelTable, kernel_table
+from .maximal import BALL_SLACK, ball_sums, interval_mass
 
 __all__ = [
     "Measure",
@@ -120,37 +124,16 @@ class Measure:
 
 # -- ball masses of the density part ------------------------------------------
 
-def _density_mass_1d(grid: Grid, dens: np.ndarray, centers: np.ndarray,
-                     radii: np.ndarray) -> np.ndarray:
-    """Exact mass of the piecewise-constant density over [c - r, c + r] (broadcasting)."""
-    L, h, N = grid.half_width, grid.spacing, grid.points_per_axis
-    edges = -L + h * np.arange(N + 1)
-    cum = np.concatenate([[0.0], np.cumsum(dens) * h])
-    lo = np.clip(centers - radii, -L, L)
-    hi = np.clip(centers + radii, -L, L)
-    return np.interp(hi, edges, cum) - np.interp(lo, edges, cum)
-
-
-def _density_mass_on_grid(grid: Grid, dens: np.ndarray, radius: float) -> np.ndarray:
-    """Node-counting ball mass of the density about every node, flat array."""
-    from .maximal import ball_stencil
-
-    stencil = ball_stencil(grid, radius)
-    return np.maximum(fft_linear_convolve(dens, stencil), 0.0).ravel() * grid.cell_volume
-
-
 def _density_mass_at_points(grid: Grid, dens: np.ndarray, points: np.ndarray,
                             radii_per_point: np.ndarray) -> np.ndarray:
-    """Ball masses at arbitrary points; radii_per_point has shape (P, C)."""
-    if grid.dim == 1:
-        return _density_mass_1d(grid, dens.ravel(), points[:, :1], radii_per_point)
+    """Node-counting ball masses at arbitrary points (n>=2); radii_per_point is (P, C)."""
     out = np.empty_like(radii_per_point)
     flat = dens.ravel() * grid.cell_volume
     for i, p in enumerate(points):
         d = np.sqrt(np.sum((grid.nodes - p) ** 2, axis=-1))
         order = np.argsort(d, kind="stable")
         csum = np.concatenate([[0.0], np.cumsum(flat[order])])
-        idx = np.searchsorted(d[order], radii_per_point[i] * (1 + 1e-12), side="right")
+        idx = np.searchsorted(d[order], radii_per_point[i] * BALL_SLACK, side="right")
         out[i] = csum[idx]
     return out
 
@@ -204,20 +187,21 @@ def _wolff_eval(mu: Measure, alpha: float, s: float, R: float,
     masses = np.zeros_like(mids)
     if have_atoms:
         masses += np.einsum(
-            "pac,a->pc", (dist[:, :, None] <= mids[:, None, :] * (1 + 1e-12)).astype(float),
+            "pac,a->pc", (dist[:, :, None] <= mids[:, None, :] * BALL_SLACK).astype(float),
             mu.atom_masses,
         )
     if mu.density is not None:
         dens = mu.density.values
         if n == 1:
-            masses += _density_mass_1d(grid, dens.ravel(), pts[:, :1], mids)
+            masses += interval_mass(grid, dens.ravel(), pts[:, :1], mids)
         elif on_grid and not have_atoms:
-            cols = np.stack([_density_mass_on_grid(grid, dens, r) for r in mids[0]], axis=1)
-            masses = masses + cols
+            cols = np.stack([ball_sums(grid, dens, r).ravel() for r in mids[0]], axis=1)
+            masses += cols * grid.cell_volume
         elif on_grid:
             # shared log-spaced radius table, then linear interpolation per node
             tab_r = np.geomspace(t0, t_hi, 4 * (n_oct + 1))
-            tab = np.stack([_density_mass_on_grid(grid, dens, r) for r in tab_r], axis=1)
+            tab = np.stack([ball_sums(grid, dens, r).ravel() for r in tab_r], axis=1)
+            tab *= grid.cell_volume
             idx = np.clip(np.searchsorted(tab_r, mids), 1, tab_r.size - 1)
             r_lo, r_hi = tab_r[idx - 1], tab_r[idx]
             w_hi = (mids - r_lo) / (r_hi - r_lo)

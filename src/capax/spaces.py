@@ -8,7 +8,9 @@ bounds that would require the papers' implicit constants are flagged
 'heuristic-lower' and excluded from hard assertions.
 
 All evaluators normalize their input first and rescale the result, so
-absolute homogeneity holds exactly. Each evaluator runs in a solve scope
+absolute homogeneity holds exactly; the majorant witnesses of `kv_norm`,
+`lambda_functional` and `beta_functional` are rescaled with it, so they are
+in the units of the input. Each evaluator runs in a solve scope
 (see `capacity`), so an obstacle program it meets twice is solved once.
 """
 
@@ -311,7 +313,7 @@ def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
     return NormEstimate(
         lower=upper * scale,
         upper=upper * scale,
-        witness=Field(grid, best_h, nonneg=True),
+        witness=Field(grid, best_h * scale, nonneg=True),
         flags=("heuristic-lower",),
     )
 
@@ -439,7 +441,7 @@ def _lambda_beta(u: Field, params: Params, kind: str, tol: float, levels: int,
     return NormEstimate(
         lower=upper * scale,
         upper=upper * scale,
-        witness=best,
+        witness=Field(grid, best.values * scale, nonneg=True),
         flags=("heuristic-lower",),
     )
 

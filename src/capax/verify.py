@@ -207,6 +207,8 @@ def check_boundedness(params: Params, mu_family, R: float = math.inf,
     factor = 2.0 ** ((params.n - params.alpha * params.s) / (params.s - 1.0))
     samples = []
     for i, mu in enumerate(mu_family):
+        if mu.grid.dim != params.n:
+            raise ValueError(f"params.n = {params.n} but the grid dimension is {mu.grid.dim}")
         if mu.density is not None:
             raise ValueError("boundedness check requires atomic measures")
         if not mu.atoms:

@@ -21,6 +21,16 @@ def test_empty_set_capacity(g64, params):
     assert np.all(res.extremal.values == 0)
 
 
+def test_params_dimension_must_match_grid():
+    # alpha * s = 1.4 is valid for n = 2 but exceeds the grid's n = 1
+    g = Grid(1, 1.0, 32)
+    P2 = Params(2, 0.7, 2.0)
+    with pytest.raises(ValueError, match="grid dimension"):
+        capacity(ball_mask(g, 0.3), P2)
+    with pytest.raises(ValueError, match="grid dimension"):
+        choquet_integral(Field(g, np.exp(-g.radii**2 / 0.1), nonneg=True), P2, levels=4)
+
+
 def test_capacity_against_interior_point_oracle(g64, params, capacity_qp):
     E = ball_mask(g64, 0.25)
     mine = capacity(E, params, tol=1e-9)

@@ -5,8 +5,9 @@ import pytest
 
 from capax.grid import Field, Grid, Params, ball_mask
 from capax.capacity import capacity, lq_cap_norm, _solve
-from capax.spaces import (a1_weight_witness, beta_functional, kv_norm, lambda_functional,
-                          m_norm, n_norm, otilde_norm)
+from capax.potentials import riesz_potential
+from capax.spaces import (_kv_objective, a1_weight_witness, beta_functional, kv_norm,
+                          lambda_functional, m_norm, n_norm, otilde_norm)
 
 
 P_RS = Params(1, 0.4, 2.0, q=1.5, p=2.0, r=2.0)    # r = s slot
@@ -165,11 +166,27 @@ def test_lambda_beta_indicator_pattern(g64):
     values = [lq, el.upper, eb.upper]
     assert max(values) / min(values) <= 3.0
     # witnesses majorize the obstacle through their potential
-    from capax.potentials import riesz_potential
-
     for est in (el, eb):
         v = riesz_potential(est.witness, P_Q.alpha).values
         assert np.all(v[E.members] >= 1.0 - 1e-6)
+
+
+def test_majorant_witnesses_in_input_units(g64):
+    # amplitude 3: a witness of the sup-normalized input would be off by 3
+    E = ball_mask(g64, 0.2)
+    u = Field(g64, 3.0 * E.members, nonneg=True)
+    kv = kv_norm(u, P_Q, levels=16, descent_steps=2)
+    eb = beta_functional(u, P_Q, levels=16)
+    assert np.all(kv.witness.values >= u.values)
+    for est in (kv, eb):   # the witness attains the upper bound
+        attained = _kv_objective(est.witness.values, g64, P_Q, "riesz")
+        assert attained == pytest.approx(est.upper, rel=1e-12)
+    # the descended witness is an admissible majorant of the same input
+    again = kv_norm(u, P_Q, levels=16, descent_steps=0, extra_majorants=(kv.witness,))
+    assert again.upper <= kv.upper * (1 + 1e-12)
+    for est in (lambda_functional(u, P_Q, levels=16), eb):
+        v = riesz_potential(est.witness, P_Q.alpha).values
+        assert np.all(v[E.members] >= 3.0 * (1 - 1e-6))
 
 
 def test_lower_never_exceeds_upper(g64):

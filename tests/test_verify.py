@@ -87,6 +87,13 @@ def test_boundedness_two_atoms_exact_constant(g64):
     assert rep.samples[0].ratio <= 1.0 + 0.02
 
 
+def test_boundedness_params_dimension_must_match_grid(g64):
+    # the factor 2^((n - alpha s)/(s - 1)) reads params.n, so it must be the grid's
+    mu = Measure.from_atoms(g64, [[-0.15], [0.15]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="grid dimension"):
+        check_boundedness(Params(2, 0.7, 2.0), [mu])
+
+
 def test_boundedness_truncated_variant(g64):
     mu = Measure.from_atoms(g64, [[-0.2], [0.1], [0.3]], [1.0, 0.5, 2.0])
     rep = check_boundedness(P, [mu], R=0.5)
