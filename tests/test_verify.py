@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from capax.capacity import NormEstimate
 from capax.grid import Field, Grid, Params
 from capax.families import DEFAULT_FAMILY_SEED, family, field_family, measure_family
 from capax.potentials import Measure, wolff_at_points
-from capax.verify import (check_boundedness, check_ibp, check_wolff_weak, refinement_study,
-                          report_to_csv, report_to_json, run_check)
+from capax.verify import (check_adams, check_boundedness, check_ibp, check_kv_equiv, check_main2,
+                          check_main3, check_newnorm2, check_upper_tri, check_wolff_weak,
+                          refinement_study, report_to_csv, report_to_json, run_check)
 
 P = Params(1, 0.4, 2.0, q=1.5, p=2.0, r=1.0)
 
@@ -55,12 +57,17 @@ def test_csim_finite_and_adams_degeneracy(g64):
 
 
 def test_adams_zero_sample_skipped(g64):
-    from capax.verify import check_adams
-
+    # every field check skips a zero field before any solve, as does main2 a zero f
     zero = Field(g64, np.zeros(g64.shape), nonneg=True)
-    rep = check_adams(P.replace(q=1.0), [zero], "riesz")
-    assert rep.samples[0].skipped
-    assert rep.max_ratio == 0.0
+    one = Field(g64, np.ones(g64.shape), nonneg=True)
+    reports = [check_adams(P.replace(q=1.0), [zero], "riesz"), check_ibp(P, [zero]),
+               check_newnorm2(P, [zero]), check_kv_equiv(P, [zero]),
+               check_main2(P, [(zero, one)])]
+    for rep in reports:
+        s = rep.samples[0]
+        assert s.skipped and s.note == "zero sample"
+        assert (s.lhs, s.rhs, s.ratio, s.quantities) == (0.0, 0.0, 0.0, {})
+        assert rep.max_ratio == 0.0
 
 
 def test_ratio_scale_invariance(g64):
@@ -77,14 +84,20 @@ def test_ibp_identity_and_sweep(g64):
     assert all(s.ratio == 1.0 for s in rep1.samples if not s.skipped)
     sweep = [run_check("ibp", P, g64, count=4, t=t).max_ratio for t in (1.0, 1.5, 2.0, 3.0)]
     assert all(math.isfinite(v) and v >= 1.0 - 1e-12 for v in sweep)
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        check_ibp(P, [], t=0.5)
 
 
 def test_boundedness_two_atoms_exact_constant(g64):
     factor = 2.0 ** ((P.n - P.alpha * P.s) / (P.s - 1.0))
     mu2 = Measure.from_atoms(g64, [[-0.15], [0.15]], [1.0, 1.0])
-    rep = check_boundedness(P, [mu2])
+    rep = check_boundedness(P, [mu2, Measure(g64, ())])
     assert rep.meta["factor"] == pytest.approx(factor)
     assert rep.samples[0].ratio <= 1.0 + 0.02
+    assert rep.samples[0].quantities == {"n_atoms": 2}
+    empty = rep.samples[1]
+    assert empty.skipped and empty.note == "empty measure" and empty.ratio == 0.0
+    assert rep.max_ratio == rep.samples[0].ratio
 
 
 def test_boundedness_params_dimension_must_match_grid(g64):
@@ -92,6 +105,9 @@ def test_boundedness_params_dimension_must_match_grid(g64):
     mu = Measure.from_atoms(g64, [[-0.15], [0.15]], [1.0, 1.0])
     with pytest.raises(ValueError, match="grid dimension"):
         check_boundedness(Params(2, 0.7, 2.0), [mu])
+    dens = Measure.from_density(field_family("bumps", 1, 1, g64)[0])
+    with pytest.raises(ValueError, match="atomic measures"):
+        check_boundedness(P, [dens])
 
 
 def test_boundedness_truncated_variant(g64):
@@ -120,6 +136,25 @@ def test_upper_tri_quantities_and_dirac(g64):
     assert s0.quantities["wolff_mu"] == pytest.approx(expected_q3, rel=1e-9)
 
 
+def test_upper_tri_degenerate_measures(g64, monkeypatch):
+    zero = Field(g64, np.zeros(g64.shape), nonneg=True)
+    rep = check_upper_tri(P, [Measure.from_density(zero)], budget=2, levels=8)
+    s = rep.samples[0]
+    assert s.skipped and s.note == "zero measure" and rep.max_ratio == 0.0
+    # a vanishing Wolff-cap integral, with no candidates, zeroes wolff_cap and
+    # pairing_lb: the band is an infinite hard failure, not a skip
+    monkeypatch.setattr("capax.verify.choquet_integral", lambda *a, **k: 0.0)
+    mu = Measure.from_atoms(g64, [[0.1]], [1.0])
+    rep = check_upper_tri(P, [mu], budget=0, levels=8)
+    s = rep.samples[0]
+    qs = s.quantities
+    assert qs["wolff_cap"] == 0.0 and qs["pairing_lb"] == 0.0
+    assert qs["trace_lb"] > 0 and qs["wolff_mu"] > 0
+    assert not s.skipped and s.note == "nonpositive quantity"
+    assert s.ratio == math.inf and rep.max_ratio == math.inf
+    assert s.lhs == max(qs.values()) and s.rhs == 0.0
+
+
 @pytest.mark.parametrize("kind", ["riesz", "bessel"])
 def test_upper_tri_pairing_includes_wolff_candidate(kind):
     # u = W^((s-1)r/(s-r)) / ||u||_{L^(s/r)(cap)} pairs with mu to exactly
@@ -145,6 +180,16 @@ def test_wolff_weak_estimates(g64):
     # a level above the global maximum empties both sides
     rep_hi = check_wolff_weak(mu, w_max * 1.5, P, a_values=(2.0,))
     assert rep_hi.samples[0].skipped
+    # {W > a t} is not empty for a < 1 while mu({W > t}) is 0: positive / 0
+    # is an infinite hard failure
+    rep_pos = check_wolff_weak(mu, w_max * 1.5, P, a_values=(0.5,))
+    s = rep_pos.samples[0]
+    assert not s.skipped and s.ratio == math.inf and rep_pos.max_ratio == math.inf
+    assert s.lhs == pytest.approx(0.674, abs=1e-3) and s.rhs == 0.0
+    assert s.quantities == {"a": 0.5}
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t must be positive"):
+            check_wolff_weak(mu, t, P)
 
 
 def test_newnorm2_and_kv_bands(g64):
@@ -155,6 +200,21 @@ def test_newnorm2_and_kv_bands(g64):
     done_kv = [s for s in rep_kv.samples if not s.skipped]
     assert done_kv and all(math.isfinite(s.ratio) for s in done_kv)
     assert max(s.ratio for s in done_kv) <= 10.0
+
+
+@pytest.mark.parametrize("attr, check, keys", [
+    ("beta_functional", check_newnorm2, ("lq_cap", "lambda", "beta")),
+    ("otilde_norm", check_kv_equiv, ("kv", "otilde")),
+])
+def test_norm_band_nonpositive_is_infinite(g64, monkeypatch, attr, check, keys):
+    monkeypatch.setattr(f"capax.verify.{attr}", lambda *a, **k: NormEstimate(0.0, 0.0))
+    f = field_family("mixed", DEFAULT_FAMILY_SEED, 2, g64)[1]
+    rep = check(P, [f], levels=8)
+    s = rep.samples[0]
+    assert tuple(s.quantities) == keys and s.quantities[keys[-1]] == 0.0
+    assert not s.skipped and s.note == "nonpositive"
+    assert s.ratio == math.inf and rep.max_ratio == math.inf
+    assert s.lhs == max(s.quantities.values()) > 0 and s.rhs == 0.0
 
 
 def test_run_check_reports_solver_counts(g64):
@@ -172,6 +232,13 @@ def test_main3_pairing(g64):
     rep = run_check("main3", P, g64, count=3, levels=16, budget=4)
     done = [s for s in rep.samples if not s.skipped]
     assert done and all(math.isfinite(s.ratio) for s in done)
+    # a zero f (no unit-ball normalizer) or a zero g is a degenerate pair
+    f = field_family("mixed", DEFAULT_FAMILY_SEED, 2, g64)[1]
+    zero = Field(g64, np.zeros(g64.shape), nonneg=True)
+    rep = check_main3(P, [(zero, f), (f, zero)], levels=8, budget=2)
+    for s in rep.samples:
+        assert s.skipped and s.note == "degenerate pair" and s.ratio == 0.0
+    assert rep.max_ratio == 0.0
 
 
 def test_main2_limit_toward_csim(g64):
@@ -184,6 +251,19 @@ def test_main2_limit_toward_csim(g64):
     b = rep_cs.samples[-1]
     assert not a.skipped and not b.skipped
     assert abs(a.ratio / b.ratio ** (1 / s) - 1) <= 0.05
+
+
+def test_main2_weight_vanishing_on_support(g64):
+    # the lhs is measured before the pair is skipped, and the rhs is infinite
+    f = field_family("mixed", DEFAULT_FAMILY_SEED, 2, g64)[1]
+    zero = Field(g64, np.zeros(g64.shape), nonneg=True)
+    one = Field(g64, np.ones(g64.shape), nonneg=True)
+    rep = check_main2(P, [(f, zero), (f, one)], levels=8)
+    vanish, unit = rep.samples
+    assert vanish.skipped and vanish.note == "weight vanishes on support"
+    assert vanish.rhs == math.inf and vanish.ratio == 0.0
+    assert vanish.lhs == unit.lhs > 0
+    assert not unit.skipped and rep.max_ratio == unit.ratio
 
 
 def test_refinement_study_rows():
