@@ -18,14 +18,13 @@ import contextlib
 import contextvars
 import functools
 import json
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .grid import Field, Mask, Params
 from .kernels import kernel_table
-from .solver import ProgramResult, obstacle_program
+from .solver import MAX_ITER, ProgramResult, obstacle_program
 
 __all__ = [
     "CapacityResult",
@@ -132,8 +131,8 @@ def scoped(fn):
     return wrapper
 
 
-def _solve(params: Params, grid, obstacle, kind: str, tol: float, max_iter: int,
-           warm=None) -> ProgramResult:
+def _solve(params: Params, grid, obstacle, kind: str, tol: float,
+           max_iter: int = MAX_ITER, warm=None) -> ProgramResult:
     """Solve the obstacle program of `obstacle` on the (grid, alpha, kind) table.
 
     Inside a solve scope the result is memoized under (grid, alpha, kind, s,
@@ -172,7 +171,7 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float, max_iter: int,
 
 
 def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
-             max_iter: int = 20000, warm: CapacityResult | None = None) -> CapacityResult:
+             max_iter: int = MAX_ITER, warm: CapacityResult | None = None) -> CapacityResult:
     """Variational capacity of the node set E for the selected kernel.
 
     Minimizes the s-th power integral of f >= 0 subject to the potential of f
@@ -195,7 +194,7 @@ def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
 
 
 def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int = 48,
-                     tol: float = 1e-6, max_iter: int = 20000) -> float:
+                     tol: float = 1e-6, max_iter: int = MAX_ITER) -> float:
     """Layer-cake integral of g >= 0 against the capacity of its superlevel sets.
 
     Levels are log-spaced over (min positive value, max value]; each level's
@@ -262,7 +261,7 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
 
 
 def lq_cap_norm(u: Field, q: float, params: Params, kind: str = "riesz",
-                levels: int = 48, tol: float = 1e-6, max_iter: int = 20000) -> float:
+                levels: int = 48, tol: float = 1e-6, max_iter: int = MAX_ITER) -> float:
     """Choquet L^q quasi-norm: the layer cake of |u|^q, to the power 1/q.
 
     The input is sup-normalized first so absolute homogeneity is exact.
@@ -280,7 +279,7 @@ def lq_cap_norm(u: Field, q: float, params: Params, kind: str = "riesz",
 
 
 def f_norm(u: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
-           max_iter: int = 20000) -> NormEstimate:
+           max_iter: int = MAX_ITER) -> NormEstimate:
     """Obstacle-form norm: inf of the r-th power of the L^s norm of f >= 0 whose
     potential dominates |u|^(1/r) at every node.
 

@@ -1,8 +1,11 @@
 """Deterministic seeded test families: fields for inequality checks, measures
 for Wolff-side checks.
 
-The default family mixes ball indicators, Gaussian bumps at three scales,
-two-bump sums, and an anisotropic profile; everything is a pure function of
+Field families: "mixed" (the default) cycles through ball indicators,
+Gaussian bumps at three scales, two-bump sums and an anisotropic profile;
+"bumps" is the Gaussian bumps alone. Measure families: "atoms" is clouds of
+3-10 atoms; "measures" starts with a unit atom at the origin and then
+alternates atom clouds and bump densities. Each family is a pure function of
 (name, seed, count, grid).
 """
 
@@ -26,7 +29,10 @@ def _gauss(grid: Grid, center, sigmas, amplitude):
     return amplitude * np.exp(-0.5 * z).reshape(grid.shape)
 
 
-def _indicator_sample(grid, rng):
+# Every sampler takes (grid, rng, k) and draws from rng; only the bump reads
+# k, which picks its scale.
+
+def _indicator_sample(grid, rng, k):
     L = grid.half_width
     radius = rng.uniform(0.06, 0.22) * L
     center = rng.uniform(-0.4 * L, 0.4 * L, size=grid.dim)
@@ -34,15 +40,15 @@ def _indicator_sample(grid, rng):
     return amp * ball_mask(grid, radius, center).members.astype(float)
 
 
-def _bump_sample(grid, rng, scale_idx):
+def _bump_sample(grid, rng, k):
     L = grid.half_width
-    sigma = _BUMP_SCALES[scale_idx % 3] * L
+    sigma = _BUMP_SCALES[k % 3] * L
     center = rng.uniform(-0.45 * L, 0.45 * L, size=grid.dim)
     amp = rng.uniform(0.5, 2.0)
     return _gauss(grid, center, (sigma,) * grid.dim, amp)
 
 
-def _two_bump_sample(grid, rng):
+def _two_bump_sample(grid, rng, k):
     L = grid.half_width
     c1 = rng.uniform(-0.45 * L, 0.45 * L, size=grid.dim)
     c2 = rng.uniform(-0.45 * L, 0.45 * L, size=grid.dim)
@@ -50,7 +56,7 @@ def _two_bump_sample(grid, rng):
     return _gauss(grid, c1, (L / 6,) * grid.dim, a1) + _gauss(grid, c2, (L / 18,) * grid.dim, a2)
 
 
-def _aniso_sample(grid, rng):
+def _aniso_sample(grid, rng, k):
     L = grid.half_width
     center = rng.uniform(-0.35 * L, 0.35 * L, size=grid.dim)
     amp = rng.uniform(0.5, 2.0)
@@ -58,75 +64,56 @@ def _aniso_sample(grid, rng):
         # skewed two-sided exponential profile
         x = grid.axis - center[0]
         s_right, s_left = L / 6, L / 24
-        vals = amp * np.where(x >= 0, np.exp(-x / s_right), np.exp(x / s_left))
-        return vals
+        return amp * np.where(x >= 0, np.exp(-x / s_right), np.exp(x / s_left))
     sigmas = tuple(L / 5 / (1 + 3 * d / max(grid.dim - 1, 1)) for d in range(grid.dim))
     return _gauss(grid, center, sigmas, amp)
 
 
+# the mixed family's samplers in turn: field i calls sampler i % 4 with
+# k = i // 4, so the bump scale advances once per cycle
+_MIXED_CYCLE = (_indicator_sample, _bump_sample, _two_bump_sample, _aniso_sample)
+
+
+def _mixed_sample(grid, rng, i):
+    return _MIXED_CYCLE[i % 4](grid, rng, i // 4)
+
+
+_FIELD_FAMILIES = {"mixed": _mixed_sample, "bumps": _bump_sample}
+
+
 def field_family(name: str, seed: int, count: int, grid: Grid) -> list:
+    if name not in _FIELD_FAMILIES:
+        raise ValueError(f"unknown field family {name!r}")
+    sample = _FIELD_FAMILIES[name]
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(count):
-        if name == "mixed":
-            kind = i % 4
-            if kind == 0:
-                vals = _indicator_sample(grid, rng)
-            elif kind == 1:
-                vals = _bump_sample(grid, rng, i // 4)
-            elif kind == 2:
-                vals = _two_bump_sample(grid, rng)
-            else:
-                vals = _aniso_sample(grid, rng)
-        elif name == "indicators":
-            vals = _indicator_sample(grid, rng)
-        elif name == "bumps":
-            vals = _bump_sample(grid, rng, i)
-        elif name == "two_bumps":
-            vals = _two_bump_sample(grid, rng)
-        elif name == "aniso":
-            vals = _aniso_sample(grid, rng)
-        else:
-            raise ValueError(f"unknown field family {name!r}")
-        out.append(Field(grid, vals, nonneg=True))
-    return out
+    return [Field(grid, sample(grid, rng, i), nonneg=True) for i in range(count)]
 
 
-def _atom_cloud(grid, rng, n_atoms=None):
+def _atom_cloud(grid, rng, i):
     L = grid.half_width
-    k = int(rng.integers(3, 11)) if n_atoms is None else n_atoms
+    k = int(rng.integers(3, 11))
     positions = rng.uniform(-0.5 * L, 0.5 * L, size=(k, grid.dim))
     masses = np.exp(rng.normal(0.0, 0.5, size=k))
     return Measure.from_atoms(grid, positions, masses)
 
 
+def _measures_sample(grid, rng, i):
+    if i == 0:
+        return Measure.from_atoms(grid, [np.zeros(grid.dim)], [1.0])
+    if i % 2 == 1:
+        return _atom_cloud(grid, rng, i)
+    return Measure.from_density(Field(grid, _bump_sample(grid, rng, i), nonneg=True))
+
+
+_MEASURE_FAMILIES = {"atoms": _atom_cloud, "measures": _measures_sample}
+
+
 def measure_family(name: str, seed: int, count: int, grid: Grid) -> list:
+    if name not in _MEASURE_FAMILIES:
+        raise ValueError(f"unknown measure family {name!r}")
+    sample = _MEASURE_FAMILIES[name]
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(count):
-        if name == "atoms":
-            out.append(_atom_cloud(grid, rng))
-        elif name == "dirac":
-            pos = rng.uniform(-0.05 * grid.half_width, 0.05 * grid.half_width, size=grid.dim)
-            out.append(Measure.from_atoms(grid, [pos], [1.0]))
-        elif name == "densities":
-            vals = _bump_sample(grid, rng, i) + 0.3 * _indicator_sample(grid, rng)
-            out.append(Measure.from_density(Field(grid, vals, nonneg=True)))
-        elif name == "measures":
-            if i == 0:
-                out.append(Measure.from_atoms(grid, [np.zeros(grid.dim)], [1.0]))
-            elif i % 2 == 1:
-                out.append(_atom_cloud(grid, rng))
-            else:
-                vals = _bump_sample(grid, rng, i)
-                out.append(Measure.from_density(Field(grid, vals, nonneg=True)))
-        else:
-            raise ValueError(f"unknown measure family {name!r}")
-    return out
-
-
-_FIELD_FAMILIES = ("mixed", "indicators", "bumps", "two_bumps", "aniso")
-_MEASURE_FAMILIES = ("atoms", "dirac", "densities", "measures")
+    return [sample(grid, rng, i) for i in range(count)]
 
 
 def family(name: str, seed: int, count: int, grid: Grid) -> list:
@@ -135,4 +122,4 @@ def family(name: str, seed: int, count: int, grid: Grid) -> list:
         return field_family(name, seed, count, grid)
     if name in _MEASURE_FAMILIES:
         return measure_family(name, seed, count, grid)
-    raise ValueError(f"unknown family {name!r}; known: {_FIELD_FAMILIES + _MEASURE_FAMILIES}")
+    raise ValueError(f"unknown family {name!r}; known: {(*_FIELD_FAMILIES, *_MEASURE_FAMILIES)}")

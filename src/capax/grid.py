@@ -218,6 +218,12 @@ class Params:
         if kind == "riesz" and not self.alpha < self.n / self.s:
             raise ValueError(f"Riesz case needs alpha < n/s, got alpha={self.alpha}")
 
+    def q_below_s(self, who: str) -> float:
+        """q, checked to lie in [1, s); the error names the caller `who`."""
+        if self.q is None or not 1 <= self.q < self.s:
+            raise ValueError(f"{who} needs params.q in [1, s)")
+        return self.q
+
     @property
     def s_conj(self) -> float:
         return self.s / (self.s - 1.0)

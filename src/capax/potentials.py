@@ -6,7 +6,7 @@ owns the ball rule (exact in n=1, node counting in n>=2)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -38,7 +38,10 @@ import numpy as np
 from .kernels import KernelTable
 from .potentials import apply_kernel
 
-__all__ = ["ProgramResult", "obstacle_program"]
+__all__ = ["ProgramResult", "obstacle_program", "MAX_ITER"]
+
+# Default operator-apply budget of one obstacle solve.
+MAX_ITER = 20000
 
 # Largest grid (in nodes) on which K is applied as a dense matrix. One apply,
 # dense against FFT (2-core x86-64, numpy 2.4): n=1 N=256 10.9 vs 26.6 us,
@@ -239,7 +242,7 @@ def _cg(mv, rhs, tol, max_iter):
 
 
 def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
-                     tol: float = 1e-6, max_iter: int = 20000,
+                     tol: float = 1e-6, max_iter: int = MAX_ITER,
                      warm=None) -> ProgramResult:
     """Solve the obstacle program; `obstacle` is a grid-shaped nonnegative array.
 

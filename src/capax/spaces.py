@@ -101,7 +101,7 @@ def _dyadic_cube_ratio(f_pow: np.ndarray, grid: Grid, params: Params, kind: str,
         lo = N // 2 - size // 2
         members = np.zeros(grid.shape, dtype=bool)
         members[tuple(slice(lo, lo + max(size, 1)) for _ in range(dim))] = True
-        res = _solve(params, grid, members.astype(float), kind, tol, 20000, None)
+        res = _solve(params, grid, members.astype(float), kind, tol)
         if res.value > 0:
             ratio = float(np.max(sums)) / res.value
             if ratio > best:
@@ -187,9 +187,7 @@ def otilde_norm(g: Field, params: Params, kind: str = "riesz", tol: float = 1e-6
     the next weight is the normalized (I h)^(s/q). Only the upper bound is a
     certified bound on the infimum; the lower field repeats it, flagged.
     """
-    q, s = params.q, params.s
-    if q is None or not 1 <= q < s:
-        raise ValueError("otilde_norm needs params.q in [1, s)")
+    q, s = params.q_below_s("otilde_norm"), params.s
     grid = g.grid
     scale = float(np.max(np.abs(g.values)))
     if scale == 0.0:
@@ -209,7 +207,7 @@ def otilde_norm(g: Field, params: Params, kind: str = "riesz", tol: float = 1e-6
 
     for _ in range(max_rounds):
         obstacle = np.maximum(best_w, 0.0) ** (q / s)
-        res = _solve(params, grid, obstacle, kind, tol, 20000, None)
+        res = _solve(params, grid, obstacle, kind, tol)
         phi = res.extremal
         mix = np.where(ghat > 0, ghat * np.where(best_w > 0, best_w, 1.0) ** (q / s - 1.0), 0.0)
         h_mix = Field(grid, mix + upper * phi, nonneg=True)
@@ -256,9 +254,7 @@ def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
             extra_majorants: tuple = ()) -> NormEstimate:
     """Infimum over majorants h >= |f| of the mixed s-q integral of h and its
     potential; evaluated at the proof's candidates plus projected descent."""
-    q, s = params.q, params.s
-    if q is None or not 1 <= q < s:
-        raise ValueError("kv_norm needs params.q in [1, s)")
+    q, s = params.q_below_s("kv_norm"), params.s
     grid = f.grid
     scale = float(np.max(np.abs(f.values)))
     if scale == 0.0:
@@ -276,7 +272,7 @@ def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
     nq0 = lq_cap_norm(Field(grid, fhat, nonneg=True), q, params, kind,
                       levels=levels, tol=tol)
     w0 = fhat / nq0
-    res = _solve(params, grid, w0 ** (q / s), kind, tol, 20000, None)
+    res = _solve(params, grid, w0 ** (q / s), kind, tol)
     candidates.append(fhat + obj0 * res.extremal)
     # smoothed majorant
     # import at call time: perfbench counts calls by patching this module binding
@@ -369,7 +365,7 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
     for _ in range(max_rounds):
         # reweighting: extremal of the obstacle w^(1/r) restarts the construction
         obstacle = np.maximum(best.weight.values, 0.0) ** (1.0 / r)
-        res = _solve(params, grid, obstacle, kind, tol, 20000, None)
+        res = _solve(params, grid, obstacle, kind, tol)
         hn = _l_s_normalized(Field(grid, res.extremal, nonneg=True), s)
         if hn is None:
             break
@@ -399,7 +395,7 @@ def _majorized_candidate(u_abs: np.ndarray, params: Params, kind: str, grid: Gri
     """Proof construction: extremal g of the obstacle |u|^(q/s), then
     f = g (I g)^(s/q - 1), rescaled so its potential dominates |u| at nodes."""
     q, s = params.q, params.s
-    res = _solve(params, grid, u_abs ** (q / s), kind, tol, 20000, None)
+    res = _solve(params, grid, u_abs ** (q / s), kind, tol)
     gext = res.extremal
     v = potential(Field(grid, gext, nonneg=True), params.alpha, kind).values
     f_cand = gext * np.maximum(v, 0.0) ** (s / q - 1.0)
@@ -411,9 +407,7 @@ def _majorized_candidate(u_abs: np.ndarray, params: Params, kind: str, grid: Gri
 
 def _lambda_beta(u: Field, params: Params, kind: str, tol: float, levels: int,
                  want: str) -> NormEstimate:
-    q, s = params.q, params.s
-    if q is None or not 1 <= q < s:
-        raise ValueError("needs params.q in [1, s)")
+    params.q_below_s(f"{want}_functional")
     grid = u.grid
     scale = float(np.max(np.abs(u.values)))
     if scale == 0.0:
@@ -422,7 +416,7 @@ def _lambda_beta(u: Field, params: Params, kind: str, tol: float, levels: int,
 
     f1 = _majorized_candidate(uhat, params, kind, grid, tol)
     # direct obstacle extremal as a second feasible candidate
-    res2 = _solve(params, grid, uhat, kind, tol, 20000, None)
+    res2 = _solve(params, grid, uhat, kind, tol)
     candidates = [f1, res2.extremal]
 
     best, upper = None, np.inf

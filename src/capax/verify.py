@@ -3,8 +3,15 @@
 Each check evaluates one of the capacitary inequalities sample by sample and
 reports the lhs/rhs ratios. Constants are recorded, never asserted against
 invented targets; the suite asserts finiteness, degenerate-case exactness,
-homogeneity invariance, and refinement stability instead. Samples whose rhs
-vanishes while the lhs does not produce an infinite ratio, which fails hard.
+homogeneity invariance, and refinement stability instead.
+
+Every check runs through one sample loop, `_report`: the check supplies only
+`sample(i, item)`, which returns one `Sample`, and the report's max_ratio is
+the largest ratio among the samples that were not skipped. A zero or
+degenerate input is a skipped sample (`_skip`). A ratio sample (`_ratio`)
+skips 0/0 and makes positive/0 an infinite ratio, which fails hard. A band
+sample (`_band`) is the max/min of positive quantities; a quantity that is not
+positive makes the band infinite, again a hard failure.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import io
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -68,19 +75,36 @@ class ConstantReport:
     meta: dict = dataclass_field(default_factory=dict)
 
 
-def _finish(inequality_id, params, seed, samples, meta=None) -> ConstantReport:
-    ratios = [s.ratio for s in samples if not s.skipped]
-    max_ratio = max(ratios) if ratios else 0.0
-    return ConstantReport(inequality_id, params, seed, samples, max_ratio, [], meta or {})
+def _skip(i: int, note: str) -> Sample:
+    return Sample(i, 0.0, 0.0, 0.0, skipped=True, note=note)
 
 
-def _ratio(lhs: float, rhs: float) -> tuple:
-    """(ratio, skipped): 0/0 is skipped, positive/0 is an infinite hard failure."""
+def _ratio(i: int, lhs: float, rhs: float, **quantities) -> Sample:
+    """The sample lhs/rhs: 0/0 is skipped, positive/0 is an infinite hard failure."""
     if rhs == 0.0:
         if lhs == 0.0:
-            return 0.0, True
-        return math.inf, False
-    return lhs / rhs, False
+            return Sample(i, lhs, rhs, 0.0, skipped=True, quantities=quantities)
+        return Sample(i, lhs, rhs, math.inf, quantities=quantities)
+    return Sample(i, lhs, rhs, lhs / rhs, quantities=quantities)
+
+
+def _band(i: int, note: str, quantities: dict) -> Sample:
+    """The sample max/min over quantities; one that is not positive makes the
+    band an infinite hard failure, marked with `note`."""
+    vals = np.array(list(quantities.values()))
+    lhs, rhs = float(vals.max()), float(vals.min())
+    if np.any(vals <= 0):
+        return Sample(i, lhs, rhs, math.inf, note=note, quantities=quantities)
+    return Sample(i, lhs, rhs, lhs / rhs, quantities=quantities)
+
+
+def _report(inequality_id: str, params: Params, seed: int, items,
+            sample: Callable, **meta) -> ConstantReport:
+    """The one sample loop: `sample(i, item)` for each item; max_ratio is taken
+    over the samples that were not skipped (0 if there are none)."""
+    samples = [sample(i, item) for i, item in enumerate(items)]
+    max_ratio = max((s.ratio for s in samples if not s.skipped), default=0.0)
+    return ConstantReport(inequality_id, params, seed, samples, max_ratio, [], meta)
 
 
 # -- capacitary strong type inequalities ----------------------------------------
@@ -92,20 +116,18 @@ def check_adams(params: Params, fields, kind: str = "riesz",
     """Choquet integral of (I f)^q against the defect integral f^s (I f)^(q-s);
     q is params.q, or s when that is unset."""
     q = params.s if params.q is None else params.q
-    samples = []
-    for i, f in enumerate(fields):
+
+    def sample(i, f):
         vals = f.values
         if not np.any(vals > 0):
-            samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="zero sample"))
-            continue
+            return _skip(i, "zero sample")
         v = potential(f, params.alpha, kind).values
         lhs = choquet_integral(Field(f.grid, v**q, nonneg=True), params, kind,
                                levels=levels, tol=tol)
         integrand = np.where(vals > 0, vals**params.s * v ** (q - params.s), 0.0)
-        rhs = integrate(Field(f.grid, integrand))
-        ratio, skipped = _ratio(lhs, rhs)
-        samples.append(Sample(i, lhs, rhs, ratio, skipped=skipped))
-    return _finish("adams", params.replace(q=q), seed, samples)
+        return _ratio(i, lhs, integrate(Field(f.grid, integrand)))
+
+    return _report("adams", params.replace(q=q), seed, fields, sample)
 
 
 @scoped
@@ -118,22 +140,16 @@ def check_csim(params: Params, fields, kind: str = "riesz",
     return rep
 
 
-def _q_below_s(params: Params, who: str) -> float:
-    if params.q is None or not 1 <= params.q < params.s:
-        raise ValueError(f"{who} needs params.q in [1, s)")
-    return params.q
-
-
 def main2_pairs(grid: Grid, params: Params, count: int, kind: str = "riesz",
-                seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
-                tol: float = 1e-6, const_weight_last: bool = True):
-    """(f, w) pairs with unit-L^q(cap) weights built from potential witnesses."""
-    q = _q_below_s(params, "main2_pairs")
+                seed: int = DEFAULT_FAMILY_SEED, levels: int = 32, tol: float = 1e-6):
+    """(f, w) pairs with unit-L^q(cap) weights built from potential witnesses;
+    the last weight is constant."""
+    q = params.q_below_s("main2_pairs")
     fs = field_family("mixed", seed, count, grid)
     aux = field_family("bumps", seed + 1, count, grid)
     pairs = []
     for i in range(count):
-        if const_weight_last and i == count - 1:
+        if i == count - 1:
             w_raw = np.ones(grid.shape)
         else:
             v = potential(aux[i], params.alpha, kind).values
@@ -149,29 +165,28 @@ def check_main2(params: Params, pairs, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                 tol: float = 1e-6) -> ConstantReport:
     """Weighted bound: L^q(cap) norm of I f against the w-weighted s-integral."""
-    q = _q_below_s(params, "check_main2")
+    q = params.q_below_s("check_main2")
     s = params.s
-    samples = []
-    for i, (f, w) in enumerate(pairs):
+
+    def sample(i, pair):
+        f, w = pair
         vals = f.values
         if not np.any(vals > 0):
-            samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="zero sample"))
-            continue
+            return _skip(i, "zero sample")
         v = potential(f, params.alpha, kind).values
         lhs = choquet_integral(Field(f.grid, v**q, nonneg=True), params, kind,
                                levels=levels, tol=tol) ** (1.0 / q)
         wv = w.values
-        integrand = np.where(vals > 0, vals**s * np.where(wv > 0, wv, 1.0) ** (q - s), 0.0)
         if np.any((vals > 0) & (wv <= 0)):
             rhs = math.inf
         else:
+            integrand = np.where(vals > 0, vals**s * np.where(wv > 0, wv, 1.0) ** (q - s), 0.0)
             rhs = integrate(Field(f.grid, integrand)) ** (1.0 / s)
         if math.isinf(rhs):
-            samples.append(Sample(i, lhs, rhs, 0.0, skipped=True, note="weight vanishes on support"))
-            continue
-        ratio, skipped = _ratio(lhs, rhs)
-        samples.append(Sample(i, lhs, rhs, ratio, skipped=skipped))
-    return _finish("main2", params, seed, samples)
+            return Sample(i, lhs, rhs, 0.0, skipped=True, note="weight vanishes on support")
+        return _ratio(i, lhs, rhs)
+
+    return _report("main2", params, seed, pairs, sample)
 
 
 @scoped
@@ -180,22 +195,20 @@ def check_ibp(params: Params, fields, kind: str = "riesz",
     """Pointwise integrating-by-parts bound (I f)^t <= A * I[f (I f)^(t-1)]."""
     if not t >= 1:
         raise ValueError("t must be >= 1")
-    samples = []
-    for i, f in enumerate(fields):
+
+    def sample(i, f):
         vals = f.values
         if not np.any(vals > 0):
-            samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="zero sample"))
-            continue
+            return _skip(i, "zero sample")
         v = potential(f, params.alpha, kind).values
         lhs = v**t
         inner = Field(f.grid, vals * v ** (t - 1.0), nonneg=True)
         rhs = potential(inner, params.alpha, kind).values
         sup = float(np.max(lhs / rhs))
-        samples.append(Sample(i, float(np.max(lhs)), float(np.max(rhs)), sup,
-                              quantities={"sup_ratio": sup}))
-    rep = _finish("ibp", params, seed, samples)
-    rep.meta["t"] = t
-    return rep
+        return Sample(i, float(np.max(lhs)), float(np.max(rhs)), sup,
+                      quantities={"sup_ratio": sup})
+
+    return _report("ibp", params, seed, fields, sample, t=t)
 
 
 # -- Wolff potential checks ------------------------------------------------------
@@ -205,27 +218,22 @@ def check_boundedness(params: Params, mu_family, R: float = math.inf,
                       seed: int = DEFAULT_FAMILY_SEED) -> ConstantReport:
     """Global max of W^R against 2^((n - alpha s)/(s-1)) times the supp max of W^(2R)."""
     factor = 2.0 ** ((params.n - params.alpha * params.s) / (params.s - 1.0))
-    samples = []
-    for i, mu in enumerate(mu_family):
+    r2 = R if math.isinf(R) else 2.0 * R
+
+    def sample(i, mu):
         if mu.grid.dim != params.n:
             raise ValueError(f"params.n = {params.n} but the grid dimension is {mu.grid.dim}")
         if mu.density is not None:
             raise ValueError("boundedness check requires atomic measures")
         if not mu.atoms:
-            samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="empty measure"))
-            continue
+            return _skip(i, "empty measure")
         w_nodes = wolff_potential(mu, params.alpha, params.s, R).values
-        r2 = R if math.isinf(R) else 2.0 * R
         w_supp = wolff_at_points(mu, params.alpha, params.s, mu.atom_positions, r2)
-        lhs = float(np.max(w_nodes))
-        rhs = factor * float(np.max(w_supp))
-        ratio, skipped = _ratio(lhs, rhs)
-        samples.append(Sample(i, lhs, rhs, ratio, skipped=skipped,
-                              quantities={"n_atoms": len(mu.atoms)}))
-    rep = _finish("boundedness", params, seed, samples)
-    rep.meta["R"] = None if math.isinf(R) else R
-    rep.meta["factor"] = factor
-    return rep
+        return _ratio(i, float(np.max(w_nodes)), factor * float(np.max(w_supp)),
+                      n_atoms=len(mu.atoms))
+
+    return _report("boundedness", params, seed, mu_family, sample,
+                   R=None if math.isinf(R) else R, factor=factor)
 
 
 def _nearest_node_index(grid: Grid, pos) -> tuple:
@@ -294,17 +302,14 @@ def check_upper_tri(params: Params, mu_family, kind: str = "riesz",
     wolff_R = 1.0 if kind == "bessel" else math.inf
     mu_exp = (s - 1.0) * r / (s - r)
     cap_exp = (s - 1.0) * s / (s - r)
-    samples = []
-    for i, mu in enumerate(mu_family):
+
+    def sample(i, mu):
         if mu.total_mass <= 0:
-            samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="zero measure"))
-            continue
+            return _skip(i, "zero measure")
         w = wolff_potential(mu, params.alpha, s, wolff_R).values
         w_pairing = _measure_pairing(mu, w**mu_exp)
         w_choquet = choquet_integral(Field(grid, w**cap_exp, nonneg=True), params, kind,
                                      levels=levels, tol=tol)
-        q3 = w_pairing ** ((s - r) / s)
-        q4 = w_choquet ** ((s - r) / s)
 
         traces = [_measure_pairing(mu, v**r) for v in cand_pot]
         i_mu = potential(Field(grid, _deposited_density(mu), nonneg=True),
@@ -314,24 +319,17 @@ def check_upper_tri(params: Params, mu_family, kind: str = "riesz",
         if nrm > 0:
             hn = Field(grid, h_mu.values / nrm, nonneg=True)
             traces.append(_measure_pairing(mu, potential(hn, params.alpha, kind).values**r))
-        a1 = max(traces, default=0.0)
 
         pairings = [_measure_pairing(mu, u) for u in cand_unit]
         u_nrm = w_choquet ** (r / s)
         if u_nrm > 0:
             pairings.append(w_pairing / u_nrm)
-        a2 = max(pairings, default=0.0)
 
-        quantities = {"trace_lb": a1, "pairing_lb": a2, "wolff_mu": q3, "wolff_cap": q4}
-        vals = np.array([a1, a2, q3, q4])
-        if np.any(vals <= 0):
-            samples.append(Sample(i, float(vals.max()), float(vals.min()), math.inf,
-                                  quantities=quantities, note="nonpositive quantity"))
-            continue
-        band = float(vals.max() / vals.min())
-        samples.append(Sample(i, float(vals.max()), float(vals.min()), band,
-                              quantities=quantities))
-    return _finish("upper_tri", params, seed, samples)
+        return _band(i, "nonpositive quantity", {
+            "trace_lb": max(traces, default=0.0), "pairing_lb": max(pairings, default=0.0),
+            "wolff_mu": w_pairing ** ((s - r) / s), "wolff_cap": w_choquet ** ((s - r) / s)})
+
+    return _report("upper_tri", params, seed, mu_family, sample)
 
 
 @scoped
@@ -341,21 +339,15 @@ def check_wolff_weak(mu: Measure, t: float, params: Params, kind: str = "riesz",
     """Superlevel capacity bound cap({W > a t}) <= A t^(1-s) mu({W > t})."""
     if not t > 0:
         raise ValueError("t must be positive")
-    grid = mu.grid
     w = wolff_potential(mu, params.alpha, params.s).values
     rhs = t ** (1.0 - params.s) * _measure_pairing(mu, w > t)
-    samples = []
-    for i, a in enumerate(a_values):
+
+    def sample(i, a):
         mask = w > a * t
-        if not np.any(mask):
-            lhs = 0.0
-        else:
-            lhs = capacity(Mask(grid, mask), params, kind, tol=tol).value
-        ratio, skipped = _ratio(lhs, rhs)
-        samples.append(Sample(i, lhs, rhs, ratio, skipped=skipped, quantities={"a": a}))
-    rep = _finish("wolff_weak", params, seed, samples)
-    rep.meta["t"] = t
-    return rep
+        lhs = capacity(Mask(mu.grid, mask), params, kind, tol=tol).value if np.any(mask) else 0.0
+        return _ratio(i, lhs, rhs, a=a)
+
+    return _report("wolff_weak", params, seed, a_values, sample, t=t)
 
 
 # -- norm equivalence bands ------------------------------------------------------
@@ -365,47 +357,33 @@ def check_newnorm2(params: Params, u_family, kind: str = "riesz",
                    seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                    tol: float = 1e-6) -> ConstantReport:
     """Three-way band between the L^q(cap) quasi-norm and the two functionals."""
-    q = _q_below_s(params, "check_newnorm2")
-    samples = []
-    for i, u in enumerate(u_family):
+    q = params.q_below_s("check_newnorm2")
+
+    def sample(i, u):
         if not np.any(np.abs(u.values) > 0):
-            samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="zero sample"))
-            continue
-        n1 = lq_cap_norm(u, q, params, kind, levels=levels, tol=tol)
-        n2 = lambda_functional(u, params, kind, tol=tol, levels=levels).upper
-        n3 = beta_functional(u, params, kind, tol=tol, levels=levels).upper
-        vals = np.array([n1, n2, n3])
-        quantities = {"lq_cap": n1, "lambda": n2, "beta": n3}
-        if np.any(vals <= 0):
-            samples.append(Sample(i, float(vals.max()), float(vals.min()), math.inf,
-                                  quantities=quantities, note="nonpositive"))
-            continue
-        band = float(vals.max() / vals.min())
-        samples.append(Sample(i, float(vals.max()), float(vals.min()), band,
-                              quantities=quantities))
-    return _finish("newnorm2", params, seed, samples)
+            return _skip(i, "zero sample")
+        return _band(i, "nonpositive", {
+            "lq_cap": lq_cap_norm(u, q, params, kind, levels=levels, tol=tol),
+            "lambda": lambda_functional(u, params, kind, tol=tol, levels=levels).upper,
+            "beta": beta_functional(u, params, kind, tol=tol, levels=levels).upper})
+
+    return _report("newnorm2", params, seed, u_family, sample)
 
 
 @scoped
 def check_kv_equiv(params: Params, g_family, kind: str = "riesz",
                    seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                    tol: float = 1e-6) -> ConstantReport:
-    """Two-sided ratio band between the majorant norm and the weighted O-norm."""
-    samples = []
-    for i, g in enumerate(g_family):
+    """Two-sided ratio band between the majorant norm and the weighted O-norm,
+    reported as kv against otilde."""
+    def sample(i, g):
         if not np.any(np.abs(g.values) > 0):
-            samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="zero sample"))
-            continue
+            return _skip(i, "zero sample")
         nk = kv_norm(g, params, kind, tol=tol, levels=levels).upper
         no = otilde_norm(g, params, kind, tol=tol, levels=levels).upper
-        quantities = {"kv": nk, "otilde": no}
-        if nk <= 0 or no <= 0:
-            samples.append(Sample(i, nk, no, math.inf, quantities=quantities,
-                                  note="nonpositive"))
-            continue
-        band = max(nk / no, no / nk)
-        samples.append(Sample(i, nk, no, band, quantities=quantities))
-    return _finish("kv_equiv", params, seed, samples)
+        return replace(_band(i, "nonpositive", {"kv": nk, "otilde": no}), lhs=nk, rhs=no)
+
+    return _report("kv_equiv", params, seed, g_family, sample)
 
 
 @scoped
@@ -414,19 +392,18 @@ def check_main3(params: Params, pair_family, kind: str = "riesz",
                 tol: float = 1e-6, budget: int = 8) -> ConstantReport:
     """Koethe pairing: integral of |f g| for f in the trace-norm unit ball
     against the N-norm of g (f normalized by its certified lower bound)."""
-    samples = []
-    for i, (f, g) in enumerate(pair_family):
+    def sample(i, pair):
+        f, g = pair
         mf = m_norm(f, params, kind, budget=budget, seed=seed + 3, tol=tol, levels=levels)
         if mf.lower <= 0 or not np.any(np.abs(g.values) > 0):
-            samples.append(Sample(i, 0.0, 0.0, 0.0, skipped=True, note="degenerate pair"))
-            continue
+            return _skip(i, "degenerate pair")
         f_unit = np.abs(f.values) / mf.lower
         lhs = integrate(Field(f.grid, f_unit * np.abs(g.values)))
         rhs = n_norm(g, params, kind, variant="plain", tol=tol, levels=levels,
                      budget=budget, seed=seed + 4).upper
-        ratio, skipped = _ratio(lhs, rhs)
-        samples.append(Sample(i, lhs, rhs, ratio, skipped=skipped))
-    return _finish("main3", params, seed, samples)
+        return _ratio(i, lhs, rhs)
+
+    return _report("main3", params, seed, pair_family, sample)
 
 
 # -- check registry, refinement, and serialization -------------------------------

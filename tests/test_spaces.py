@@ -29,6 +29,17 @@ def test_all_evaluators_vanish_on_zero(g64):
     assert beta_functional(z, P_Q).upper == 0.0
 
 
+@pytest.mark.parametrize("evaluator", [otilde_norm, kv_norm, lambda_functional,
+                                       beta_functional])
+@pytest.mark.parametrize("q", [None, 2.0, 2.5])
+def test_q_range_error_names_evaluator(g64, evaluator, q):
+    # checked before the zero-input early return
+    z = Field(g64, np.zeros(g64.shape))
+    name = evaluator.__name__
+    with pytest.raises(ValueError, match=rf"^{name} needs params.q in \[1, s\)$"):
+        evaluator(z, P_Q.replace(q=q))
+
+
 def test_exact_homogeneity_all_evaluators(g64):
     f = _indicator(g64)
     f2 = Field(g64, 2.0 * f.values, nonneg=True)

@@ -253,6 +253,15 @@ def test_main2_limit_toward_csim(g64):
     assert abs(a.ratio / b.ratio ** (1 / s) - 1) <= 0.05
 
 
+def test_main2_and_newnorm2_need_q_below_s(g64):
+    P_s = P.replace(q=P.s)
+    with pytest.raises(ValueError, match=r"^main2_pairs needs params.q in \[1, s\)$"):
+        run_check("main2", P_s, g64, count=2)
+    for check in (check_main2, check_newnorm2):
+        with pytest.raises(ValueError, match=rf"^{check.__name__} needs params.q"):
+            check(P_s, [])
+
+
 def test_main2_weight_vanishing_on_support(g64):
     # the lhs is measured before the pair is skipped, and the rhs is infinite
     f = field_family("mixed", DEFAULT_FAMILY_SEED, 2, g64)[1]
