@@ -225,22 +225,10 @@ class Params:
         return self.q
 
     @property
-    def s_conj(self) -> float:
-        return self.s / (self.s - 1.0)
-
-    @property
     def p_conj(self) -> float:
         if self.p is None:
             raise ValueError("p not set")
         return self.p / (self.p - 1.0)
-
-    def otilde_r(self) -> float:
-        """The r slot that realizes the q-weighted space as an N-type space."""
-        if self.q is None:
-            raise ValueError("q not set")
-        if not self.q < self.s:
-            raise ValueError("requires q < s")
-        return self.s * (self.s - self.q) / ((self.s - 1.0) * self.q)
 
     def replace(self, **kw) -> "Params":
         d = dict(n=self.n, alpha=self.alpha, s=self.s, q=self.q, p=self.p, r=self.r)

@@ -82,6 +82,19 @@ class KernelTable:
         return np.fft.rfftn(wrap_from_centered(self.values), s=shape, axes=axes)
 
     @cached_property
+    def inverse_square_rfft(self) -> np.ndarray | None:
+        """Cached spectrum 1/(h^2n s^2) of K^-2 on the 2N torus, or None.
+
+        s is the real part of `padded_rfft`, so the h^n-weighted operator K has
+        the torus symbol h^n s. None when s has a mode <= 0, as some 3D Riesz
+        tables with alpha near n do. Built only when first used.
+        """
+        symbol = self.padded_rfft.real
+        if np.any(symbol <= 0.0):
+            return None
+        return 1.0 / (self.grid.cell_volume * symbol) ** 2
+
+    @cached_property
     def dense(self) -> np.ndarray:
         """Read-only h^n-weighted operator matrix on flattened grid values.
 

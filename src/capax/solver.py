@@ -20,12 +20,19 @@ Each Newton step solves its system on the free set F. On the dense path,
 when the assembly work grid.size * |F|^2 is at most DIRECT_MAX_WORK and the
 remaining budget is at least |F|, the step assembles the free-set Hessian
 from the dense matrix and solves it directly; otherwise it runs conjugate
-gradients matrix-free.
+gradients matrix-free. On the FFT path, when the table's torus spectrum is
+positive (`KernelTable.inverse_square_rfft` is not None), CG is preconditioned
+with the opposite-order operator S R_F K~^-2 E_F S (Steinbach-Wendland, Adv.
+Comput. Math. 9, 1998; Hiptmair, Comput. Math. Appl. 52, 2006): E_F extends
+by zero, R_F restricts to F, K~^-2 is one padded FFT convolution with the
+inverse squared spectrum and S = diag(1/sqrt f') on F, with f' floored at
+PREC_FLOOR times its max on F. Otherwise CG runs plain.
 
 The iteration budget counts every step that applies the operator: the seed
-of the Newton run, each Newton step and each conjugate-gradient step. A
-direct step is charged |F|, about the matrix-vector products its assembly
-costs, which is also the most one CG run may spend.
+of the Newton run, each Newton step and each conjugate-gradient step,
+preconditioned or not; the preconditioner applies K~^-2, not K. A direct
+step is charged |F|, about the matrix-vector products its assembly costs,
+which is also the most one CG run may spend.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convolve import fft_linear_convolve
 from .kernels import KernelTable
 from .potentials import apply_kernel
 
@@ -57,6 +65,10 @@ DENSE_MAX_NODES = 256
 # further 12-51%, but CPU time rose up to 1.7x, because OpenBLAS ran the
 # larger products on two threads.
 DIRECT_MAX_WORK = 64**3
+
+# Floor of f' in the CG preconditioner, relative to its max on the free set:
+# it keeps 1/sqrt(f') finite where f' underflows as s -> 1+.
+PREC_FLOOR = 1e-3
 
 
 @dataclass
@@ -124,7 +136,7 @@ def _accepted(best, tol: float) -> bool:
     return best is not None and best[0] <= tol and best[3] <= tol
 
 
-def _newton_ascent(op_apply, dense, b, active, lam0, c, s, b_max, tol, budget):
+def _newton_ascent(op_apply, dense, k_inv2, b, active, lam0, c, s, b_max, tol, budget):
     """Projected semismooth Newton ascent on the Fenchel dual from lam0.
 
     lam0 is nonnegative and vanishes off the active set {b > 0}.
@@ -137,13 +149,15 @@ def _newton_ascent(op_apply, dense, b, active, lam0, c, s, b_max, tol, budget):
     operator's matrix, grid.size * |F|^2 <= DIRECT_MAX_WORK and at least |F|
     budget steps remain, the system is assembled and solved directly;
     otherwise, or if it is singular, by conjugate gradients, matrix-free.
-    Every iterate, scaled along its optimal ray, is certified together with
-    its primal point f(a).
+    When `k_inv2` applies K~^-2 (FFT path, positive spectrum), CG is
+    preconditioned with S R_F K~^-2 E_F S (see `_scaled_inverse`); else it
+    runs plain. Every iterate, scaled along its optimal ray, is certified
+    together with its primal point f(a).
 
     Stops once a certificate is accepted, the budget is spent or no ascent
-    step is found. The seed, each Newton step and each CG step count one
-    against the budget, and a direct solve counts |F|. Returns (best
-    certificate or None, steps used).
+    step is found. The seed, each Newton step and each CG step, preconditioned
+    or not, count one against the budget, and a direct solve counts |F|.
+    Returns (best certificate or None, steps used).
     """
     expo = 1.0 / (s - 1.0)
     a = op_apply(lam0)
@@ -177,8 +191,9 @@ def _newton_ascent(op_apply, dense, b, active, lam0, c, s, b_max, tol, budget):
 
             # in exact arithmetic CG terminates within |F| steps; beyond that
             # it only spends budget on rounding noise
+            prec = None if k_inv2 is None else _scaled_inverse(k_inv2, free, fprime)
             d, cg_steps = _cg(hess_mv, grad[free], tol=1e-12,
-                              max_iter=min(budget - steps, n_free))
+                              max_iter=min(budget - steps, n_free), prec=prec)
             steps += cg_steps
         if not np.any(d):
             break
@@ -214,15 +229,42 @@ def _direct_step(dense, free, fprime, grad):
         return None
 
 
-def _cg(mv, rhs, tol, max_iter):
-    """Conjugate gradients from zero; returns (solution, iterations)."""
+def _scaled_inverse(k_inv2, free, fprime):
+    """Preconditioner r -> S R_F K~^-2 E_F S r of the free-set Newton system.
+
+    S = diag(1/sqrt f') on F, with f' floored at PREC_FLOOR times its max on
+    F; k_inv2 applies K~^-2 to grid values. None when f' vanishes on F.
+    """
+    fp = fprime[free]
+    floor = PREC_FLOOR * float(np.max(fp))
+    if floor <= 0.0:
+        return None
+    scale = 1.0 / np.sqrt(np.maximum(fp, floor))
+
+    def prec(r):
+        v = np.zeros(free.shape)
+        v[free] = scale * r
+        return scale * k_inv2(v)[free]
+
+    return prec
+
+
+def _cg(mv, rhs, tol, max_iter, prec=None):
+    """Conjugate gradients from zero; returns (solution, iterations).
+
+    `prec` applies a symmetric positive definite preconditioner; None runs
+    plain CG. Either way the run stops once the residual norm is at most
+    tol times the norm of rhs.
+    """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    p = r.copy()
     rs = float(r @ r)
     if rs == 0.0:
         return x, 0
     rhs_norm = math.sqrt(rs)
+    z = r if prec is None else prec(r)
+    rz = float(r @ z)
+    p = z.copy()
     k = 0
     while k < max_iter:
         Ap = mv(p)
@@ -230,14 +272,15 @@ def _cg(mv, rhs, tol, max_iter):
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             break
-        a = rs / pAp
+        a = rz / pAp
         x += a * p
         r -= a * Ap
-        rs_new = float(r @ r)
-        if math.sqrt(rs_new) <= tol * rhs_norm:
+        if math.sqrt(float(r @ r)) <= tol * rhs_norm:
             break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = r if prec is None else prec(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return x, k
 
 
@@ -283,14 +326,20 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
     def op(v):
         return apply_kernel(table, v, method)
 
-    dense = table.dense if method == "dense" else None
+    dense = k_inv2 = None
+    if method == "dense":
+        dense = table.dense
+    elif table.inverse_square_rfft is not None:
+        def k_inv2(v):
+            return fft_linear_convolve(v, table.values, kernel_rfft=table.inverse_square_rfft)
 
     lam = b
     if warm is not None:
         seed = np.where(active, np.maximum(np.asarray(warm, dtype=float), 0.0), 0.0)
         if np.any(seed > 0.0):
             lam = seed
-    best, iterations = _newton_ascent(op, dense, b, active, lam, c, s, b_max, tol, max_iter)
+    best, iterations = _newton_ascent(op, dense, k_inv2, b, active, lam, c, s, b_max, tol,
+                                      max_iter)
 
     if best is None:
         return ProgramResult(zero, 0.0, 1.0, math.inf, 0.0, iterations, False)

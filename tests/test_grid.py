@@ -131,10 +131,7 @@ def test_params_validation():
 
 def test_params_derived():
     p = Params(1, 0.3, 3.0, q=1.5, p=2.0)
-    assert abs(p.s_conj - 1.5) < 1e-15
     assert abs(p.p_conj - 2.0) < 1e-15
-    r = p.otilde_r()
-    assert abs(r - 3.0 * 1.5 / (2.0 * 1.5)) < 1e-15
 
 
 def test_field_validation(g64):

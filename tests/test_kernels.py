@@ -6,9 +6,9 @@ import pytest
 from scipy.special import gamma as gamma_fn, kv
 
 from capax.grid import Grid
-from capax.kernels import (BesselRadialProfile, _bessel_radial_value, bessel_kernel_table,
-                           bessel_radial_profile, export_radial_csv, riesz_gamma,
-                           riesz_kernel_table, singular_cell_average)
+from capax.kernels import (BesselRadialProfile, KernelTable, _bessel_radial_value,
+                           bessel_kernel_table, bessel_radial_profile, export_radial_csv,
+                           riesz_gamma, riesz_kernel_table, singular_cell_average)
 
 
 def test_riesz_gamma_closed_forms():
@@ -137,3 +137,21 @@ def test_dense_operator_matrix():
     rows = np.array([table.values[i:i + N][::-1] * h for i in range(N)])
     assert np.array_equal(table.dense, rows)
     assert not table.dense.flags.writeable
+
+
+@pytest.mark.parametrize("make,n,N,alpha", [(riesz_kernel_table, 1, 64, 0.4),
+                                             (bessel_kernel_table, 2, 16, 0.7)])
+def test_inverse_square_spectrum(make, n, N, alpha):
+    # built only when first used; K~^-2 K~^2 is the identity on the 2N torus
+    g = Grid(n, 1.0, N)
+    cached = make(g, alpha)
+    table = KernelTable(g, cached.values, alpha, cached.kind)
+    assert "inverse_square_rfft" not in vars(table)
+    inv = table.inverse_square_rfft
+    axes = tuple(range(g.dim))
+    shape = (2 * g.points_per_axis,) * g.dim
+    v = np.random.default_rng(3).standard_normal(shape)
+    k2v = np.fft.irfftn(np.fft.rfftn(v) * (g.cell_volume * table.padded_rfft) ** 2, s=shape,
+                        axes=axes)
+    back = np.fft.irfftn(np.fft.rfftn(k2v) * inv, s=shape, axes=axes)
+    assert np.allclose(back, v, rtol=0.0, atol=1e-9 * np.abs(v).max())

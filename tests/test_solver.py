@@ -6,7 +6,7 @@ import pytest
 import capax.solver as solver
 from capax.capacity import capacity
 from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
-from capax.kernels import kernel_table
+from capax.kernels import kernel_table, riesz_kernel_table
 from capax.potentials import apply_kernel, bessel_potential
 
 
@@ -77,16 +77,102 @@ def _forbid_cg(*args, **kwargs):
     raise AssertionError("CG ran where the direct free-set step applies")
 
 
-def _counting_cg(monkeypatch):
-    calls = []
+def _recording_cg(monkeypatch, drop_prec=False):
+    # records (max_iter, preconditioned, steps) of every CG run; drop_prec
+    # runs each one as plain CG
+    runs = []
     orig = solver._cg
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["max_iter"])
-        return orig(*args, **kwargs)
+    def recording(mv, rhs, tol, max_iter, prec=None):
+        x, k = orig(mv, rhs, tol, max_iter, None if drop_prec else prec)
+        runs.append((max_iter, prec is not None, k))
+        return x, k
 
-    monkeypatch.setattr(solver, "_cg", counting)
-    return calls
+    monkeypatch.setattr(solver, "_cg", recording)
+    return runs
+
+
+def _plain_cg(mv, rhs, tol, max_iter):
+    # unpreconditioned conjugate gradients, written out as the reference
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    if rs == 0.0:
+        return x, 0
+    rhs_norm = math.sqrt(rs)
+    k = 0
+    while k < max_iter:
+        Ap = mv(p)
+        k += 1
+        pAp = float(p @ Ap)
+        if pAp <= 0.0:
+            break
+        a = rs / pAp
+        x += a * p
+        r -= a * Ap
+        rs_new = float(r @ r)
+        if math.sqrt(rs_new) <= tol * rhs_norm:
+            break
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, k
+
+
+def _spd(n, rng):
+    B = rng.standard_normal((n, n))
+    return B @ B.T + n * np.eye(n)
+
+
+def test_cg_without_preconditioner_is_plain_cg(rng):
+    A = _spd(12, rng)
+    rhs = rng.standard_normal(12)
+    for max_iter in range(1, 13):
+        x, k = solver._cg(lambda v: A @ v, rhs, 1e-12, max_iter)
+        x_ref, k_ref = _plain_cg(lambda v: A @ v, rhs, 1e-12, max_iter)
+        assert k == k_ref and np.array_equal(x, x_ref)
+
+
+def test_cg_with_exact_inverse_takes_one_step(rng):
+    A = _spd(12, rng)
+    A_inv = np.linalg.inv(A)
+    rhs = rng.standard_normal(12)
+    x, k = solver._cg(lambda v: A @ v, rhs, 1e-10, 12, prec=lambda r: A_inv @ r)
+    assert k == 1
+    assert np.allclose(A @ x, rhs, rtol=0.0, atol=1e-10 * np.linalg.norm(rhs))
+
+
+def test_fft_newton_step_is_preconditioned(monkeypatch):
+    # 4,096 nodes take the FFT path; one Newton step whose CG run took 32
+    # steps (34 in all) unpreconditioned takes 9 (11 in all) with PCG
+    tol = 1e-6
+    E = ball_mask(Grid(2, 1.0, 64), 0.3)
+    P = Params(2, 0.7, 2.0)
+    with monkeypatch.context() as m:
+        runs = _recording_cg(m)
+        res = capacity(E, P, "riesz", tol=tol)
+    assert runs and all(pre for _, pre, _ in runs)
+    assert res.converged and res.iterations <= 15
+    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    with monkeypatch.context() as m:
+        _recording_cg(m, drop_prec=True)
+        plain = capacity(E, P, "riesz", tol=tol)
+    assert plain.converged and plain.iterations > res.iterations
+    assert _agree(res.value, plain.value, tol)
+
+
+@pytest.mark.parametrize("alpha,preconditioned", [(0.95 * 3 / 1.05, False), (1.0, True)])
+def test_3d_preconditioner_needs_positive_spectrum(alpha, preconditioned, monkeypatch):
+    # at alpha = 0.95 n/s the 3D Riesz table's torus spectrum has modes <= 0,
+    # so K~^-2 does not exist there and every CG run is plain
+    tol = 1e-6
+    g = Grid(3, 1.0, 8)
+    assert (riesz_kernel_table(g, alpha).inverse_square_rfft is not None) == preconditioned
+    runs = _recording_cg(monkeypatch)
+    res = capacity(ball_mask(g, 0.7), Params(3, alpha, 1.05), "riesz", tol=tol)
+    assert runs and all(pre == preconditioned for _, pre, _ in runs)
+    assert res.converged
+    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
 
 
 @pytest.mark.parametrize("kind", ["riesz", "bessel"])
@@ -117,9 +203,9 @@ def test_cg_step_beyond_direct_work_bound(monkeypatch):
     g = Grid(2, 1.0, 16)
     E = ball_mask(g, 0.6)
     assert g.size * E.members.sum() ** 2 > solver.DIRECT_MAX_WORK
-    calls = _counting_cg(monkeypatch)
+    runs = _recording_cg(monkeypatch)
     res = capacity(E, Params(2, 0.5, 2.0), "riesz", tol=tol)
-    assert calls
+    assert runs
     assert res.converged
     assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
 
@@ -130,9 +216,9 @@ def test_cg_step_when_budget_below_free_set(monkeypatch):
     g = Grid(1, 1.0, 64)
     E = ball_mask(g, 0.3)
     n_set = int(E.members.sum())
-    calls = _counting_cg(monkeypatch)
+    runs = _recording_cg(monkeypatch)
     res = capacity(E, Params(1, 0.4, 2.0), tol=1e-12, max_iter=n_set)
-    assert calls and calls[0] == n_set - 2
+    assert runs and runs[0][0] == n_set - 2
     assert res.iterations <= n_set
     assert res.value > 0 and math.isfinite(res.gap)
 
