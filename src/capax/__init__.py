@@ -6,8 +6,7 @@ from .grid import (Field, Grid, Mask, Params, annulus_mask, ball_mask, cube_mask
                    integrate, lp_norm)
 from .kernels import bessel_kernel_table, riesz_gamma, riesz_kernel_table
 from .maximal import a1_constant, maximal_function
-from .potentials import (Measure, bessel_potential, riesz_potential, wolff_at_points,
-                         wolff_potential)
+from .potentials import Measure, potential, wolff_at_points, wolff_potential
 from .capacity import (CapacityResult, NormEstimate, capacity, choquet_integral,
                        f_norm, lq_cap_norm)
 from .spaces import (WeightWitness, beta_functional, kv_norm, lambda_functional,
@@ -20,8 +19,7 @@ __all__ = [
     "integrate", "lp_norm",
     "bessel_kernel_table", "riesz_gamma", "riesz_kernel_table",
     "a1_constant", "maximal_function",
-    "Measure", "bessel_potential", "riesz_potential", "wolff_at_points",
-    "wolff_potential",
+    "Measure", "potential", "wolff_at_points", "wolff_potential",
     "CapacityResult", "NormEstimate", "capacity", "choquet_integral", "f_norm",
     "lq_cap_norm",
     "WeightWitness", "beta_functional", "kv_norm", "lambda_functional", "m_norm",

@@ -1,13 +1,23 @@
-"""Riesz and Bessel kernel tables on offset lattices, with singular-cell correction.
+"""Riesz and Bessel kernel tables on offset lattices, and the one kernel apply.
 
-The singular cell (offset 0) stores the exact average of the local power-law
+A table holds the kernel on the centered offset lattice {k h : |k| <= N-1}
+per axis, an array of shape (2N-1,)^dim with offset 0 at index N-1. The
+singular cell (offset 0) stores the exact average of the local power-law
 singularity over the cell, obtained by replacing the cell with the ball of
 equal volume and integrating radially in closed form.
+
+A table acts on grid values as a linear convolution. `padded_spectrum` puts
+the centered table in wrap-around layout on the 2N torus (period 2N per axis,
+so the zero-padded grid values never wrap onto themselves) and takes its real
+FFT; `torus_convolve` pads the values to 2N, multiplies by a spectrum,
+transforms back and slices to the grid. `apply_kernel` is the h^n-weighted
+operator K: the torus product with the table's cached spectrum, multiplied by
+h^n after the slice, or the table's cached dense matrix, which carries h^n in
+its entries.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -16,7 +26,6 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as gamma_fn
 
-from .convolve import wrap_from_centered
 from .grid import Grid
 
 __all__ = [
@@ -26,7 +35,9 @@ __all__ = [
     "bessel_kernel_table",
     "BesselRadialProfile",
     "bessel_radial_profile",
-    "export_radial_csv",
+    "padded_spectrum",
+    "torus_convolve",
+    "apply_kernel",
 ]
 
 
@@ -76,10 +87,8 @@ class KernelTable:
 
     @cached_property
     def padded_rfft(self) -> np.ndarray:
-        """Cached real FFT of the wrap-around layout (period 2N per axis)."""
-        shape = (2 * self.grid.points_per_axis,) * self.grid.dim
-        axes = tuple(range(self.grid.dim))
-        return np.fft.rfftn(wrap_from_centered(self.values), s=shape, axes=axes)
+        """Cached `padded_spectrum` of the table."""
+        return padded_spectrum(self.values)
 
     @cached_property
     def inverse_square_rfft(self) -> np.ndarray | None:
@@ -210,10 +219,45 @@ def kernel_table(grid: Grid, alpha: float, kind: str) -> KernelTable:
     raise ValueError(f"kind must be 'riesz' or 'bessel', got {kind!r}")
 
 
-def export_radial_csv(profile: BesselRadialProfile, path: str):
-    """Dump the radial cache as (radius, value) rows for inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius", "value"])
-        for r, v in zip(profile.radii, profile.values):
-            writer.writerow([repr(float(r)), repr(float(v))])
+def padded_spectrum(centered: np.ndarray) -> np.ndarray:
+    """Real FFT of a centered offset table in wrap-around layout on the 2N torus.
+
+    Index m of the wrap layout holds offset m for m < N and m - 2N for m >= N.
+    The slot at offset -N is never reached by a product with grid values; it
+    takes the offset -(N-1) value to keep the table positive.
+    """
+    N = (centered.shape[0] + 1) // 2
+    idx = np.concatenate([np.arange(N - 1, 2 * N - 1), [0], np.arange(0, N - 1)])
+    wrapped = centered[np.ix_(*([idx] * centered.ndim))]
+    axes = tuple(range(centered.ndim))
+    return np.fft.rfftn(wrapped, s=(2 * N,) * centered.ndim, axes=axes)
+
+
+def torus_convolve(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Linear convolution of grid values with the table whose `padded_spectrum`
+    is `spectrum`: zero-pad to 2N, multiply, inverse FFT, slice to the grid."""
+    N = values.shape[0]
+    dim = values.ndim
+    padded_shape = (2 * N,) * dim
+    axes = tuple(range(dim))
+    f_hat = np.fft.rfftn(values, s=padded_shape, axes=axes)
+    full = np.fft.irfftn(f_hat * spectrum, s=padded_shape, axes=axes)
+    return full[(slice(0, N),) * dim].copy()
+
+
+def apply_kernel(table: KernelTable, values: np.ndarray, method: str = "fast") -> np.ndarray:
+    """h^n-weighted linear convolution of grid values with a kernel table.
+
+    Methods: "fast" is the torus product with the table's cached spectrum;
+    "dense" multiplies by the table's cached operator matrix, which is quicker
+    on small grids. The potentials use "fast" on every grid: the dense product
+    rounds differently, and the Choquet integral of a potential is sensitive
+    to rounding-level ties between its node values.
+    """
+    if values.shape != table.grid.shape:
+        raise ValueError("incompatible grids: field shape does not match kernel table")
+    if method == "dense":
+        return (table.dense @ values.ravel()).reshape(values.shape)
+    if method != "fast":
+        raise ValueError(f"method must be 'fast' or 'dense', got {method!r}")
+    return torus_convolve(values, table.padded_rfft) * table.grid.cell_volume

@@ -15,9 +15,8 @@ import math
 
 import numpy as np
 
-from .convolve import fft_linear_convolve
 from .grid import Field, Grid
-from .kernels import _offset_radii
+from .kernels import _offset_radii, padded_spectrum, torus_convolve
 
 __all__ = ["BALL_SLACK", "interval_mass", "ball_stencil", "ball_sums", "maximal_function",
            "a1_constant", "dyadic_radii"]
@@ -55,7 +54,7 @@ def ball_stencil(grid: Grid, radius: float) -> np.ndarray:
 
 def ball_sums(grid: Grid, values: np.ndarray, radius: float) -> np.ndarray:
     """Node-counting sums of `values` over the ball about every node, clipped at 0."""
-    return np.maximum(fft_linear_convolve(values, ball_stencil(grid, radius)), 0.0)
+    return np.maximum(torus_convolve(values, padded_spectrum(ball_stencil(grid, radius))), 0.0)
 
 
 def maximal_function(w: Field, truncated: bool = False) -> Field:

@@ -1,7 +1,9 @@
 """Riesz, Bessel, and Wolff potentials of grid functions and measures.
 
-The Wolff potentials take the ball masses of a density from `maximal`, which
-owns the ball rule (exact in n=1, node counting in n>=2)."""
+`potential()` is the one place here that applies a kernel table, through
+`kernels.apply_kernel` on the FFT path. The Wolff potentials take the ball
+masses of a density from `maximal`, which owns the ball rule (exact in n=1,
+node counting in n>=2)."""
 
 from __future__ import annotations
 
@@ -11,53 +13,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .convolve import fft_linear_convolve
 from .grid import Field, Grid, integrate
-from .kernels import KernelTable, kernel_table
+from .kernels import apply_kernel, kernel_table
 from .maximal import BALL_SLACK, ball_sums, interval_mass
 
 __all__ = [
     "Measure",
-    "riesz_potential",
-    "bessel_potential",
     "potential",
-    "apply_kernel",
     "wolff_potential",
     "wolff_at_points",
 ]
 
 
-def apply_kernel(table: KernelTable, values: np.ndarray, method: str = "fast") -> np.ndarray:
-    """h^n-weighted linear convolution of grid values with a kernel table.
-
-    Methods: "fast" is the zero-padded FFT with the table's cached spectrum;
-    "dense" multiplies by the table's cached operator matrix, which is quicker
-    on small grids. The potentials below use "fast" on every grid: the dense
-    product rounds differently, and the Choquet integral of a potential is
-    sensitive to rounding-level ties between its node values. The O(N^{2n})
-    `convolve.direct_linear_convolve` is the tests' reference for both.
-    """
-    if values.shape != table.grid.shape:
-        raise ValueError("incompatible grids: field shape does not match kernel table")
-    if method == "dense":
-        return (table.dense @ values.ravel()).reshape(values.shape)
-    if method != "fast":
-        raise ValueError(f"method must be 'fast' or 'dense', got {method!r}")
-    out = fft_linear_convolve(values, table.values, kernel_rfft=table.padded_rfft)
-    return out * table.grid.cell_volume
-
-
 def potential(f: Field, alpha: float, kind: str) -> Field:
+    """The h^n-weighted Riesz or Bessel potential of f, on the FFT path on every grid."""
     table = kernel_table(f.grid, alpha, kind)
     return Field(f.grid, apply_kernel(table, f.values), nonneg=f.nonneg)
-
-
-def riesz_potential(f: Field, alpha: float) -> Field:
-    return potential(f, alpha, "riesz")
-
-
-def bessel_potential(f: Field, alpha: float) -> Field:
-    return potential(f, alpha, "bessel")
 
 
 @dataclass(frozen=True)

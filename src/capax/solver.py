@@ -1,13 +1,14 @@
 """Obstacle-program solver: projected semismooth Newton on the Fenchel dual.
 
 Solves   min  h^n sum_i f_i^s   s.t.  (K f)(x) >= b(x) on {b > 0},  f >= 0,
-where K is a tabulated (Riesz or Bessel) convolution operator. On grids of
-at most DENSE_MAX_NODES nodes K is applied as the table's cached dense matrix,
-above that with FFTs. The objective is strictly convex, so the minimizer is
-unique. The certificates are computed with the same operator as the
-iterates, so the choice does not affect acceptance; `potential()` stays on
-the FFT because Choquet integrals of potentials are sensitive to the
-rounding-level ties that the two products resolve differently.
+where K is the h^n-weighted operator of a Riesz or Bessel kernel table,
+applied by `kernels.apply_kernel`: on grids of at most DENSE_MAX_NODES nodes
+as the table's cached dense matrix, above that on the 2N torus with FFTs.
+The objective is strictly convex, so the minimizer is unique. The
+certificates are computed with the same operator as the iterates, so the
+choice does not affect acceptance; `potential()` stays on the FFT because
+Choquet integrals of potentials are sensitive to the rounding-level ties
+that the two products resolve differently.
 
 The method is a projected semismooth Newton ascent on the dual (a
 primal-dual active-set method in the sense of Hintermueller-Ito-Kunisch,
@@ -24,9 +25,9 @@ gradients matrix-free. On the FFT path, when the table's torus spectrum is
 positive (`KernelTable.inverse_square_rfft` is not None), CG is preconditioned
 with the opposite-order operator S R_F K~^-2 E_F S (Steinbach-Wendland, Adv.
 Comput. Math. 9, 1998; Hiptmair, Comput. Math. Appl. 52, 2006): E_F extends
-by zero, R_F restricts to F, K~^-2 is one padded FFT convolution with the
-inverse squared spectrum and S = diag(1/sqrt f') on F, with f' floored at
-PREC_FLOOR times its max on F. Otherwise CG runs plain.
+by zero, R_F restricts to F, K~^-2 is one `kernels.torus_convolve` with the
+table's inverse squared spectrum and S = diag(1/sqrt f') on F, with f'
+floored at PREC_FLOOR times its max on F. Otherwise CG runs plain.
 
 The iteration budget counts every step that applies the operator: the seed
 of the Newton run, each Newton step and each conjugate-gradient step,
@@ -42,9 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import fft_linear_convolve
-from .kernels import KernelTable
-from .potentials import apply_kernel
+from .kernels import KernelTable, apply_kernel, torus_convolve
 
 __all__ = ["ProgramResult", "obstacle_program", "MAX_ITER"]
 
@@ -331,7 +330,7 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
         dense = table.dense
     elif table.inverse_square_rfft is not None:
         def k_inv2(v):
-            return fft_linear_convolve(v, table.values, kernel_rfft=table.inverse_square_rfft)
+            return torus_convolve(v, table.inverse_square_rfft)
 
     lam = b
     if warm is not None:

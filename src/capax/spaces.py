@@ -120,6 +120,9 @@ def m_norm(f: Field, params: Params, kind: str = "riesz", budget: int = 32,
     the dyadic-cube supremum of integral-to-capacity ratios; for r < s the
     Wolff functional of d mu = |f|^p dx (an equivalence-class bound whose
     constant is tracked empirically, flagged accordingly).
+
+    `levels` is unused: no bound here takes a Choquet integral. It stays
+    because callers pass it, as perfbench's norms1d op does.
     """
     if params.p is None or params.r is None:
         raise ValueError("params.p and params.r must be set for m_norm")

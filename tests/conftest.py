@@ -4,6 +4,18 @@ import pytest
 from capax.grid import Grid, Params
 
 
+def direct_linear_convolve(values: np.ndarray, centered: np.ndarray) -> np.ndarray:
+    """Direct summation: out[i] = sum_j centered[i - j + (N-1)] * values[j]."""
+    N = values.shape[0]
+    dim = values.ndim
+    rev = (slice(None, None, -1),) * dim
+    out = np.empty_like(values, dtype=float)
+    for idx in np.ndindex(values.shape):
+        block = centered[tuple(slice(k, k + N) for k in idx)]
+        out[idx] = np.sum(block[rev] * values)
+    return out
+
+
 @pytest.fixture
 def g64():
     return Grid(1, 1.0, 64)

@@ -12,13 +12,13 @@ import numpy as np
 from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
 from capax.capacity import CapacityResult, capacity, choquet_integral, lq_cap_norm
 from capax.families import DEFAULT_FAMILY_SEED, field_family, measure_family
-from capax.convolve import direct_linear_convolve
-from capax.kernels import bessel_kernel_table, riesz_gamma, riesz_kernel_table, unit_sphere_area
+from capax.kernels import (apply_kernel, bessel_kernel_table, riesz_gamma, riesz_kernel_table,
+                           unit_sphere_area)
 from capax.maximal import a1_constant
-from capax.potentials import (Measure, apply_kernel, riesz_potential, wolff_at_points,
-                              wolff_potential)
+from capax.potentials import Measure, potential, wolff_at_points, wolff_potential
 from capax.spaces import a1_weight_witness
 from capax.verify import check_boundedness, refinement_study, run_check
+from conftest import direct_linear_convolve
 
 ALPHA, S = 0.4, 2.0
 P1 = Params(1, ALPHA, S)
@@ -45,13 +45,13 @@ def test_criterion_1_convolution_oracle():
 def test_criterion_2_closed_form_potentials():
     R = 0.25
     g1 = Grid(1, 1.0, 256)
-    pot1 = riesz_potential(ball_mask(g1, R).indicator(), ALPHA).values
+    pot1 = potential(ball_mask(g1, R).indicator(), ALPHA, "riesz").values
     exact1 = riesz_gamma(1, ALPHA) * unit_sphere_area(1) * R**ALPHA / ALPHA
     err1 = abs(pot1[int(np.argmin(np.abs(g1.axis)))] / exact1 - 1)
 
     g2 = Grid(2, 1.0, 256)
     alpha2 = 0.7
-    pot2 = riesz_potential(ball_mask(g2, R).indicator(), alpha2).values
+    pot2 = potential(ball_mask(g2, R).indicator(), alpha2, "riesz").values
     exact2 = riesz_gamma(2, alpha2) * unit_sphere_area(2) * R**alpha2 / alpha2
     err2 = abs(pot2[np.unravel_index(np.argmin(g2.radii), g2.shape)] / exact2 - 1)
 
@@ -126,7 +126,7 @@ def test_criterion_4_choquet_layer_cake():
 
     g128 = Grid(1, 1.0, 128)
     bump = Field(g128, np.exp(-g128.axis**2 / (2 * 0.15**2)), nonneg=True)
-    smooth = Field(g128, riesz_potential(bump, ALPHA).values ** 2, nonneg=True)
+    smooth = Field(g128, potential(bump, ALPHA, "riesz").values ** 2, nonneg=True)
     c48 = choquet_integral(smooth, P1, levels=48, tol=1e-7)
     c96 = choquet_integral(smooth, P1, levels=96, tol=1e-7)
     doubling = abs(c96 / c48 - 1)

@@ -10,7 +10,7 @@ from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
 from capax.capacity import (NormEstimate, capacity, choquet_integral, f_norm, lq_cap_norm,
                             solve_scope, _solve)
 from capax.kernels import kernel_table
-from capax.potentials import riesz_potential
+from capax.potentials import potential
 from capax.solver import obstacle_program
 from capax.spaces import n_norm
 
@@ -141,7 +141,7 @@ def test_choquet_rejects_negative(g64, params):
 def test_choquet_level_doubling(params):
     g = Grid(1, 1.0, 128)
     bump = Field(g, np.exp(-g.axis**2 / (2 * 0.15**2)), nonneg=True)
-    v = riesz_potential(bump, params.alpha).values
+    v = potential(bump, params.alpha, "riesz").values
     field = Field(g, v**2, nonneg=True)
     c48 = choquet_integral(field, params, levels=48, tol=1e-7)
     c96 = choquet_integral(field, params, levels=96, tol=1e-7)
@@ -194,7 +194,7 @@ def test_lq_cap_norm_identities(g64, params):
 
 def test_lq_cap_norm_vs_csim_constant(g64, params, rng):
     f = Field(g64, rng.uniform(0, 1, g64.shape), nonneg=True)
-    v = riesz_potential(f, params.alpha)
+    v = potential(f, params.alpha, "riesz")
     s = params.s
     lq = lq_cap_norm(v, s, params, levels=32, tol=1e-7)
     from capax.grid import lp_norm

@@ -116,9 +116,9 @@ def test_potential_and_choquet_commands(tmp_path):
     assert run_cli("potential", "--input", str(fpath), "--alpha", "0.4",
                    "--output", str(out)) == 0
     pot = field_from_json(out.read_text())
-    from capax.potentials import riesz_potential
+    from capax.potentials import potential
 
-    assert np.array_equal(pot.values, riesz_potential(f, 0.4).values)
+    assert np.array_equal(pot.values, potential(f, 0.4, "riesz").values)
     cout = tmp_path / "choq.json"
     assert run_cli("choquet", "--input", str(fpath), "--alpha", "0.4", "--s", "2",
                    "--N", "32", "--output", str(cout)) == 0

@@ -7,8 +7,8 @@ from scipy.special import gamma as gamma_fn, kv
 
 from capax.grid import Grid
 from capax.kernels import (BesselRadialProfile, KernelTable, _bessel_radial_value,
-                           bessel_kernel_table, bessel_radial_profile, export_radial_csv,
-                           riesz_gamma, riesz_kernel_table, singular_cell_average)
+                           bessel_kernel_table, bessel_radial_profile, riesz_gamma,
+                           riesz_kernel_table, singular_cell_average)
 
 
 def test_riesz_gamma_closed_forms():
@@ -100,7 +100,7 @@ def test_bessel_monotone_and_dominated():
     assert np.all(tb.values[far] < tr.values[far])
 
 
-def test_bessel_radial_cache_and_csv(tmp_path):
+def test_bessel_radial_cache():
     prof = bessel_radial_profile(1, 0.4, 1e-3, 10.0)
     assert isinstance(prof, BesselRadialProfile)
     assert prof.radii.size == 1024
@@ -108,11 +108,6 @@ def test_bessel_radial_cache_and_csv(tmp_path):
     # interpolation error against direct quadrature at off-cache radii
     for R in [0.0123, 0.456, 3.21]:
         assert abs(prof(R) / _bessel_radial_value(1, 0.4, R) - 1) < 1e-6
-    path = tmp_path / "radial.csv"
-    export_radial_csv(prof, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "radius,value"
-    assert len(lines) == 1025
 
 
 def test_singular_cell_average_identity():

@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from capax.convolve import direct_linear_convolve, fft_linear_convolve
+import capax.potentials as potentials
 from capax.families import field_family
 from capax.grid import Field, Grid, ball_mask
-from capax.kernels import (bessel_kernel_table, riesz_gamma, riesz_kernel_table,
-                           unit_sphere_area)
-from capax.potentials import (Measure, apply_kernel, bessel_potential, potential,
-                              riesz_potential, wolff_at_points, wolff_potential)
+from capax.kernels import (apply_kernel, bessel_kernel_table, riesz_gamma, riesz_kernel_table,
+                           torus_convolve, unit_sphere_area)
+from capax.potentials import Measure, potential, wolff_at_points, wolff_potential
+from conftest import direct_linear_convolve
 
 
 def test_zero_field_maps_to_zero(g64):
     z = Field(g64, np.zeros(g64.shape), nonneg=True)
-    assert np.all(riesz_potential(z, 0.4).values == 0)
-    assert np.all(bessel_potential(z, 0.4).values == 0)
+    assert np.all(potential(z, 0.4, "riesz").values == 0)
+    assert np.all(potential(z, 0.4, "bessel").values == 0)
 
 
 def test_fast_vs_direct_riesz_2d(rng):
@@ -45,9 +45,24 @@ def test_potential_stays_on_fft(g64, rng):
     # splits or merges symmetric ties moves it by up to 5% at levels=32.
     f = Field(g64, ball_mask(g64, 0.3).members.astype(float), nonneg=True)
     table = riesz_kernel_table(g64, 0.4)
-    expect = fft_linear_convolve(f.values, table.values) * g64.cell_volume
-    assert np.array_equal(riesz_potential(f, 0.4).values, expect)
+    expect = torus_convolve(f.values, table.padded_rfft) * g64.cell_volume
     assert np.array_equal(potential(f, 0.4, "riesz").values, expect)
+
+
+def test_potential_applies_through_module_binding(g64, monkeypatch):
+    # potential() looks apply_kernel up in its module at call time, so a
+    # replacement of capax.potentials.apply_kernel sees every call
+    f = Field(g64, ball_mask(g64, 0.3).members.astype(float), nonneg=True)
+    calls = []
+
+    def recording_apply(table, values, method="fast"):
+        calls.append((table.kind, table.alpha, method))
+        return apply_kernel(table, values, method)
+
+    monkeypatch.setattr(potentials, "apply_kernel", recording_apply)
+    for kind in ("riesz", "bessel"):
+        potential(f, 0.4, kind)
+    assert calls == [("riesz", 0.4, "fast"), ("bessel", 0.4, "fast")]
 
 
 def test_bad_method_and_grid_mismatch(g64):
@@ -63,7 +78,7 @@ def test_bad_method_and_grid_mismatch(g64):
 def test_ball_indicator_center_value_1d():
     g = Grid(1, 1.0, 256)
     alpha, R = 0.4, 0.25
-    pot = riesz_potential(ball_mask(g, R).indicator(), alpha).values
+    pot = potential(ball_mask(g, R).indicator(), alpha, "riesz").values
     exact = riesz_gamma(1, alpha) * unit_sphere_area(1) * R**alpha / alpha
     center = int(np.argmin(np.abs(g.axis)))
     assert abs(pot[center] / exact - 1) <= 0.02
@@ -72,7 +87,7 @@ def test_ball_indicator_center_value_1d():
 def test_ball_indicator_center_value_2d():
     g = Grid(2, 1.0, 128)
     alpha, R = 0.7, 0.25
-    pot = riesz_potential(ball_mask(g, R).indicator(), alpha).values
+    pot = potential(ball_mask(g, R).indicator(), alpha, "riesz").values
     exact = riesz_gamma(2, alpha) * unit_sphere_area(2) * R**alpha / alpha
     idx = np.unravel_index(np.argmin(g.radii), g.shape)
     assert abs(pot[idx] / exact - 1) <= 0.03
@@ -81,10 +96,10 @@ def test_ball_indicator_center_value_2d():
 def test_monotonicity_and_exact_scaling(g64, rng):
     a = rng.uniform(0, 1, g64.shape)
     b = a + rng.uniform(0, 1, g64.shape)
-    pa = riesz_potential(Field(g64, a, nonneg=True), 0.4).values
-    pb = riesz_potential(Field(g64, b, nonneg=True), 0.4).values
+    pa = potential(Field(g64, a, nonneg=True), 0.4, "riesz").values
+    pb = potential(Field(g64, b, nonneg=True), 0.4, "riesz").values
     assert np.all(pa <= pb + 1e-14)
-    p2 = riesz_potential(Field(g64, 2.0 * a, nonneg=True), 0.4).values
+    p2 = potential(Field(g64, 2.0 * a, nonneg=True), 0.4, "riesz").values
     assert np.array_equal(p2, 2.0 * pa)
 
 
@@ -93,16 +108,16 @@ def test_holder_interpolation_pointwise(g64, rng):
     theta = 0.37
     a = rng.uniform(0.0, 1.0, g64.shape)
     b = rng.uniform(0.0, 1.0, g64.shape)
-    mixed = riesz_potential(Field(g64, a ** (1 - theta) * b**theta, nonneg=True), 0.4).values
-    ia = riesz_potential(Field(g64, a, nonneg=True), 0.4).values
-    ib = riesz_potential(Field(g64, b, nonneg=True), 0.4).values
+    mixed = potential(Field(g64, a ** (1 - theta) * b**theta, nonneg=True), 0.4, "riesz").values
+    ia = potential(Field(g64, a, nonneg=True), 0.4, "riesz").values
+    ib = potential(Field(g64, b, nonneg=True), 0.4, "riesz").values
     assert np.all(mixed <= ia ** (1 - theta) * ib**theta * (1 + 1e-12))
 
 
 def test_bessel_below_riesz_for_nonneg(g64, rng):
     f = Field(g64, rng.uniform(0, 1, g64.shape), nonneg=True)
-    gr = riesz_potential(f, 0.4).values
-    gb = bessel_potential(f, 0.4).values
+    gr = potential(f, 0.4, "riesz").values
+    gb = potential(f, 0.4, "bessel").values
     assert np.all(gb <= gr * (1 + 1e-12))
 
 

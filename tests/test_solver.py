@@ -6,8 +6,8 @@ import pytest
 import capax.solver as solver
 from capax.capacity import capacity
 from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
-from capax.kernels import kernel_table, riesz_kernel_table
-from capax.potentials import apply_kernel, bessel_potential
+from capax.kernels import apply_kernel, kernel_table, riesz_kernel_table
+from capax.potentials import potential
 
 
 def _agree(v, w, tol):
@@ -39,7 +39,7 @@ def test_cg_capped_at_free_set_size():
     tol = 1e-6
     g = Grid(2, 1.0, 32)
     P = Params(2, 0.95 * 2 / 1.05, 1.05)
-    u = bessel_potential(Field(g, np.exp(-g.radii**2 / 0.05), nonneg=True), P.alpha).values
+    u = potential(Field(g, np.exp(-g.radii**2 / 0.05), nonneg=True), P.alpha, "bessel").values
     members = np.zeros(g.size, dtype=bool)
     members[np.argsort(-u.ravel(), kind="stable")[:955]] = True
     res = capacity(Mask(g, members.reshape(g.shape)), P, "bessel", tol=tol)
@@ -183,7 +183,7 @@ def test_direct_newton_step_on_dense_grids(kind, s, monkeypatch):
     tol = 1e-6
     g = Grid(1, 1.0, 64)
     P = Params(1, 0.25, s)
-    u = bessel_potential(Field(g, np.exp(-g.radii**2 / 0.05), nonneg=True), P.alpha).values
+    u = potential(Field(g, np.exp(-g.radii**2 / 0.05), nonneg=True), P.alpha, "bessel").values
     for E in (ball_mask(g, 0.3), Mask(g, u >= 0.5 * u.max())):
         with monkeypatch.context() as m:
             m.setattr(solver, "_cg", _forbid_cg)

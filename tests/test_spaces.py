@@ -5,7 +5,7 @@ import pytest
 
 from capax.grid import Field, Grid, Params, ball_mask
 from capax.capacity import capacity, lq_cap_norm, _solve
-from capax.potentials import riesz_potential
+from capax.potentials import potential
 from capax.spaces import (_kv_objective, a1_weight_witness, beta_functional, kv_norm,
                           lambda_functional, m_norm, n_norm, otilde_norm)
 
@@ -178,7 +178,7 @@ def test_lambda_beta_indicator_pattern(g64):
     assert max(values) / min(values) <= 3.0
     # witnesses majorize the obstacle through their potential
     for est in (el, eb):
-        v = riesz_potential(est.witness, P_Q.alpha).values
+        v = potential(est.witness, P_Q.alpha, "riesz").values
         assert np.all(v[E.members] >= 1.0 - 1e-6)
 
 
@@ -196,7 +196,7 @@ def test_majorant_witnesses_in_input_units(g64):
     again = kv_norm(u, P_Q, levels=16, descent_steps=0, extra_majorants=(kv.witness,))
     assert again.upper <= kv.upper * (1 + 1e-12)
     for est in (lambda_functional(u, P_Q, levels=16), eb):
-        v = riesz_potential(est.witness, P_Q.alpha).values
+        v = potential(est.witness, P_Q.alpha, "riesz").values
         assert np.all(v[E.members] >= 3.0 * (1 - 1e-6))
 
 
