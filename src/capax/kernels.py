@@ -1,10 +1,12 @@
 """Riesz and Bessel kernel tables on offset lattices, and the one kernel apply.
 
 A table holds the kernel on the centered offset lattice {k h : |k| <= N-1}
-per axis, an array of shape (2N-1,)^dim with offset 0 at index N-1. The
-singular cell (offset 0) stores the exact average of the local power-law
-singularity over the cell, obtained by replacing the cell with the ball of
-equal volume and integrating radially in closed form.
+per axis, an array of shape (2N-1,)^dim with offset 0 at index N-1: the
+Riesz kernel gamma(n, alpha) r^(alpha-n), or the Bessel kernel in closed form
+through the modified Bessel function K_nu (`bessel_kernel`). The singular
+cell (offset 0) stores the exact average of the local power-law singularity,
+which both kernels share, over the cell, obtained by replacing the cell with
+the ball of equal volume and integrating radially in closed form.
 
 A table acts on grid values as a linear convolution. `padded_spectrum` puts
 the centered table in wrap-around layout on the 2N torus (period 2N per axis,
@@ -22,9 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, kv
 
 from .grid import Grid
 
@@ -32,9 +32,8 @@ __all__ = [
     "riesz_gamma",
     "KernelTable",
     "riesz_kernel_table",
+    "bessel_kernel",
     "bessel_kernel_table",
-    "BesselRadialProfile",
-    "bessel_radial_profile",
     "padded_spectrum",
     "torus_convolve",
     "apply_kernel",
@@ -140,56 +139,18 @@ def riesz_kernel_table(grid: Grid, alpha: float) -> KernelTable:
     return KernelTable(grid, vals, alpha, "riesz")
 
 
-# -- Bessel kernel -------------------------------------------------------------
-#
-# Radial profile from the heat subordination representation
-#   G_a(x) = (4 pi)^(-a/2) Gamma(a/2)^(-1)
-#            * int_0^inf exp(-pi |x|^2 / t) exp(-t/(4 pi)) t^((a-n)/2 - 1) dt.
-# The substitution t = 2 pi R e^v turns the exponent into -R cosh(v), which the
-# adaptive quadrature resolves on a finite symmetric window.
+def bessel_kernel(n: int, alpha: float, r) -> np.ndarray:
+    """Bessel kernel G_alpha, the kernel of (1 - Laplacian)^(-alpha/2), at radii r > 0:
 
-_BESSEL_EPSREL = 1e-8
-_BESSEL_CACHE_SIZE = 1024
+        G_alpha(r) = r^((alpha-n)/2) K_nu(r) / (2^((n+alpha)/2-1) pi^(n/2) Gamma(alpha/2))
 
-
-def _bessel_radial_value(n: int, alpha: float, R: float) -> float:
+    with nu = (n-alpha)/2 (Adams-Hedberg, Function Spaces and Potential
+    Theory, section 1.2). scipy's K_nu underflows to 0 from r ~ 700 on.
+    """
     nu = (n - alpha) / 2.0
-    # beyond v_max the integrand is below exp(-R - 740) relative to its peak
-    v_max = float(np.arccosh(1.0 + 740.0 / R))
-
-    def integrand(v):
-        return np.exp(-R * np.cosh(v)) * 2.0 * np.cosh(nu * v)
-
-    val, _ = quad(integrand, 0.0, v_max, epsabs=0.0, epsrel=_BESSEL_EPSREL, limit=200)
-    pref = (4.0 * np.pi) ** (-alpha / 2.0) / gamma_fn(alpha / 2.0)
-    return float(pref * (2.0 * np.pi * R) ** ((alpha - n) / 2.0) * val)
-
-
-@dataclass(frozen=True)
-class BesselRadialProfile:
-    """Log-spaced radial cache of the Bessel kernel with monotone interpolation."""
-
-    n: int
-    alpha: float
-    radii: np.ndarray
-    values: np.ndarray
-
-    @cached_property
-    def _interp(self) -> PchipInterpolator:
-        return PchipInterpolator(np.log(self.radii), np.log(self.values), extrapolate=True)
-
-    def __call__(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.exp(self._interp(np.log(r)))
-
-
-@lru_cache(maxsize=16)
-def bessel_radial_profile(n: int, alpha: float, r_min: float, r_max: float) -> BesselRadialProfile:
-    radii = np.geomspace(r_min, r_max, _BESSEL_CACHE_SIZE)
-    values = np.array([_bessel_radial_value(n, alpha, R) for R in radii])
-    if np.any(values <= 0) or np.any(np.diff(values) >= 0):
-        raise RuntimeError("Bessel radial quadrature failed to produce a positive decreasing profile")
-    return BesselRadialProfile(n, alpha, radii, values)
+    r = np.asarray(r, dtype=float)
+    norm = 2.0 ** ((n + alpha) / 2.0 - 1.0) * np.pi ** (n / 2.0) * gamma_fn(alpha / 2.0)
+    return r ** (-nu) * kv(nu, r) / norm
 
 
 @lru_cache(maxsize=64)
@@ -198,16 +159,13 @@ def bessel_kernel_table(grid: Grid, alpha: float) -> KernelTable:
     if not 0 < alpha < n:
         raise ValueError(f"need 0 < alpha < n for the tabulated Bessel kernel, got {alpha}")
     r = _offset_radii(grid)
-    h = grid.spacing
-    r_max = 2.0 * grid.half_width * np.sqrt(n) * 1.01
-    profile = bessel_radial_profile(n, alpha, h / 4.0, r_max)
-    vals = np.empty_like(r)
-    nz = r > 0
-    vals[nz] = profile(r[nz])
-    # singular cell: equal-volume-ball average of the small-argument asymptote
     center = (grid.points_per_axis - 1,) * n
-    vals[~nz] = 0.0
-    vals[center] = singular_cell_average(n, alpha, h)
+    with np.errstate(divide="ignore"):
+        vals = bessel_kernel(n, alpha, r)
+    vals[center] = singular_cell_average(n, alpha, grid.spacing)
+    if not np.all(vals > 0):
+        raise ValueError(f"half-width {grid.half_width} is too wide for a Bessel kernel table: "
+                         f"K_nu underflows to 0 within its offsets, which reach {r.max():.4g}")
     return KernelTable(grid, vals, alpha, "bessel")
 
 

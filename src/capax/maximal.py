@@ -70,10 +70,13 @@ def maximal_function(w: Field, truncated: bool = False) -> Field:
         length = np.clip(x + rr, -L, L) - np.clip(x - rr, -L, L)
         best = np.max(interval_mass(grid, vals, x, rr) / length, axis=0)
     else:
-        best = np.full(grid.shape, -np.inf)
+        best, ones = np.full(grid.shape, -np.inf), np.ones(grid.shape)
         for r in radii:
-            counts = np.rint(ball_sums(grid, np.ones(grid.shape), r))
-            best = np.maximum(best, ball_sums(grid, vals, r) / np.maximum(counts, 1.0))
+            # one stencil spectrum serves the node counts and the sums
+            spectrum = padded_spectrum(ball_stencil(grid, r))
+            counts = np.rint(torus_convolve(ones, spectrum))
+            sums = np.maximum(torus_convolve(vals, spectrum), 0.0)
+            best = np.maximum(best, sums / np.maximum(counts, 1.0))
     return Field(grid, best, nonneg=True)
 
 

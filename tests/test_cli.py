@@ -191,6 +191,13 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_too_wide_bessel_box_exits_one(capsys):
+    # K_nu underflows to 0 at offsets beyond r ~ 700; here they reach 700
+    assert run_cli("capacity", "--kind", "bessel", "--L", "400", "--N", "8",
+                   "--set", "ball:100") == 1
+    assert "half-width 400.0" in capsys.readouterr().err
+
+
 def test_solver_degradation_exit_two(tmp_path, monkeypatch):
     import capax.cli as cli_mod
     from capax.capacity import CapacityResult

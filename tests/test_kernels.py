@@ -3,11 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn, kv
 
 from capax.grid import Grid
-from capax.kernels import (BesselRadialProfile, KernelTable, _bessel_radial_value,
-                           bessel_kernel_table, bessel_radial_profile, riesz_gamma,
+from capax.kernels import (KernelTable, bessel_kernel, bessel_kernel_table, riesz_gamma,
                            riesz_kernel_table, singular_cell_average)
 
 
@@ -57,15 +55,20 @@ def test_riesz_table_scaling():
     assert np.allclose(ratio, 2.0 ** (alpha - n), rtol=1e-12)
 
 
-def test_bessel_quadrature_vs_besselk_oracle():
-    # independent closed form through the modified Bessel function K_nu
-    for n, alpha in [(1, 0.4), (2, 0.7), (3, 1.2)]:
-        nu = (n - alpha) / 2
-        for R in [1e-3, 0.06, 0.5, 2.0, 9.0]:
-            mine = _bessel_radial_value(n, alpha, R)
-            exact = (riesz_gamma(n, alpha) * R ** (alpha - n)
-                     * 2 / gamma_fn(nu) * (R / 2) ** nu * kv(nu, R))
-            assert abs(mine / exact - 1) < 1e-7
+def test_bessel_kernel_vs_subordination_oracle():
+    # the heat subordination integral
+    #   G_a(R) = (4 pi)^(-a/2) / Gamma(a/2) * int_0^inf exp(-pi R^2/t - t/(4 pi)) t^((a-n)/2 - 1) dt
+    # at 30 digits, split where the exponent is least (t = 2 pi R)
+    pi = mpmath.pi
+    with mpmath.workdps(30):
+        for n, alpha in [(1, 0.4), (2, 0.7), (3, 1.2)]:
+            a = mpmath.mpf(alpha)
+            for R in [1e-3, 0.06, 0.5, 2.0, 9.0]:
+                R = mpmath.mpf(R)
+                integral = mpmath.quad(lambda t: mpmath.exp(-pi * R**2 / t - t / (4 * pi))
+                                       * t ** ((a - n) / 2 - 1), [0, 2 * pi * R, mpmath.inf])
+                exact = (4 * pi) ** (-a / 2) / mpmath.gamma(a / 2) * integral
+                assert abs(float(bessel_kernel(n, alpha, float(R))) / float(exact) - 1) <= 1e-12
 
 
 def test_bessel_total_mass():
@@ -78,9 +81,9 @@ def test_bessel_total_mass():
 def test_bessel_matches_riesz_near_zero():
     # the ratio approaches 1 like R^(n - alpha) as the argument shrinks
     n, alpha = 1, 0.4
-    prof = bessel_radial_profile(n, alpha, 1e-5, 1.0)
     radii = [3e-2, 1e-2, 3e-3, 1e-3]
-    ratios = [float(prof(R)) / (riesz_gamma(n, alpha) * R ** (alpha - n)) for R in radii]
+    ratios = [float(bessel_kernel(n, alpha, R)) / (riesz_gamma(n, alpha) * R ** (alpha - n))
+              for R in radii]
     assert all(np.diff(ratios) > 0)   # monotone refinement toward 1
     assert all(r < 1 for r in ratios)
     assert abs(ratios[-1] - 1.0) <= 0.02
@@ -98,16 +101,6 @@ def test_bessel_monotone_and_dominated():
     radii = np.abs((np.arange(2 * g.points_per_axis - 1) - center) * g.spacing)
     far = radii >= 2.0
     assert np.all(tb.values[far] < tr.values[far])
-
-
-def test_bessel_radial_cache():
-    prof = bessel_radial_profile(1, 0.4, 1e-3, 10.0)
-    assert isinstance(prof, BesselRadialProfile)
-    assert prof.radii.size == 1024
-    assert np.all(np.diff(prof.values) < 0)
-    # interpolation error against direct quadrature at off-cache radii
-    for R in [0.0123, 0.456, 3.21]:
-        assert abs(prof(R) / _bessel_radial_value(1, 0.4, R) - 1) < 1e-6
 
 
 def test_singular_cell_average_identity():
