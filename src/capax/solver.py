@@ -15,7 +15,10 @@ primal-dual active-set method in the sense of Hintermueller-Ito-Kunisch,
 SIAM J. Optim. 2002), seeded with the warm multiplier or with the obstacle
 scaled along its optimal ray. Certificates never rely on the raw iterates:
 the primal value is evaluated at an exactly rescaled feasible point, and the
-gap against the Fenchel dual value of a nonnegative multiplier.
+gap against the Fenchel dual value of a nonnegative multiplier. The ascent
+keeps every multiplier at its optimal ray point, where the dual value it
+already holds is exact, so a certificate takes that value and multiplier
+as they are.
 
 Each Newton step solves its system on the free set F. On the dense path,
 when the assembly work grid.size * |F|^2 is at most DIRECT_MAX_WORK and the
@@ -91,38 +94,46 @@ def _ray(lam: np.ndarray, a: np.ndarray, b: np.ndarray, c: float, s: float):
     t = (B / (c s sum w^(s/(s-1))))^(s-1), B = <lam, b>. It is evaluated in
     logs with w normalised by its max, since the powers overflow as s -> 1+.
     """
-    B = float(np.sum(lam * b))
-    w = np.maximum(a, 0.0) / (c * s)
-    w_max = float(np.max(w))
+    B = float((lam * b).sum())
+    w = np.maximum(a, 0.0)
+    w /= c * s
+    w_max = float(w.max())
     if w_max <= 0.0 or B <= 0.0:
         return 0.0, 0.0
-    S = float(np.sum((w / w_max) ** (s / (s - 1.0))))
+    w /= w_max
+    w **= s / (s - 1.0)
+    S = float(w.sum())
     t = math.exp((s - 1.0) * math.log(B / (c * s * S)) - s * math.log(w_max))
     return t, t * B / s
 
 
 def _primal(a: np.ndarray, c: float, s: float) -> np.ndarray:
     """Stationary primal point f(a) = (a_+/(c s))^(1/(s-1)) of the Lagrangian, a = K lam."""
-    return (np.maximum(a, 0.0) / (c * s)) ** (1.0 / (s - 1.0))
+    u = np.maximum(a, 0.0)
+    u /= c * s
+    u **= 1.0 / (s - 1.0)
+    return u
 
 
-def _certificate(u, Ku, lam, a, b, active, c, s, b_max):
-    """Certify the pair (u, lam), given Ku = K u and a = K lam.
+def _certificate(u, Ku, lam, dual, b_act, act, c, s, b_max):
+    """Certify the pair (u, lam), given Ku = K u and the dual value of lam.
 
-    u is rescaled onto the constraint set exactly; lam is moved to its optimal
-    ray point, whose Fenchel dual value bounds the optimum from below. Returns
-    (gap_rel, f, value, residual, dual, multiplier), or None when K u <= 0
-    somewhere on {b > 0}.
+    lam is ray-optimal: the ascent keeps every iterate at its optimal ray
+    point, so `dual` is its Fenchel dual value and bounds the optimum from
+    below. u is rescaled onto the constraint set exactly. `act` holds the flat
+    indices of {b > 0} and b_act = b there. Returns (gap_rel, f, value,
+    residual, dual, multiplier), or None when K u <= 0 somewhere on {b > 0}.
     """
-    Ku_act = Ku[active]
-    if not np.all(Ku_act > 0.0):
+    Ku_act = Ku.take(act)
+    if not Ku_act.min() > 0.0:
         return None
-    gamma = float(np.max(b[active] / Ku_act))
+    gamma = float((b_act / Ku_act).max())
     f = gamma * u
-    value = float(c * np.sum(f**s))
-    residual = float(np.max(np.maximum(b[active] - gamma * Ku_act, 0.0)) / b_max)
-    t, dual = _ray(lam, a, b, c, s)
-    return (value - dual) / max(value, 1.0), f, value, residual, dual, t * lam
+    value = float(c * (f**s).sum())
+    shortfall = gamma * Ku_act
+    np.subtract(b_act, shortfall, out=shortfall)
+    residual = max(float(shortfall.max()), 0.0) / b_max
+    return (value - dual) / max(value, 1.0), f, value, residual, dual, lam
 
 
 def _better(best, cert):
@@ -150,14 +161,21 @@ def _newton_ascent(op_apply, dense, k_inv2, b, active, lam0, c, s, b_max, tol, b
     otherwise, or if it is singular, by conjugate gradients, matrix-free.
     When `k_inv2` applies K~^-2 (FFT path, positive spectrum), CG is
     preconditioned with S R_F K~^-2 E_F S (see `_scaled_inverse`); else it
-    runs plain. Every iterate, scaled along its optimal ray, is certified
-    together with its primal point f(a).
+    runs plain. Every iterate is kept at its optimal ray point, so the dual
+    value the ascent holds for it is its Fenchel dual value; each iterate is
+    certified with that value, as its own multiplier, together with its
+    primal point f(a).
 
     Stops once a certificate is accepted, the budget is spent or no ascent
     step is found. The seed, each Newton step and each CG step, preconditioned
     or not, count one against the budget, and a direct solve counts |F|.
     Returns (best certificate or None, steps used).
     """
+    # per-solve constants; the flat indices and take() also serve the FFT
+    # path's grid-shaped (2D, 3D) arrays
+    act = np.flatnonzero(active)
+    b_act = b.take(act)
+    inactive = ~active
     expo = 1.0 / (s - 1.0)
     a = op_apply(lam0)
     t, dual = _ray(lam0, a, b, c, s)
@@ -167,12 +185,14 @@ def _newton_ascent(op_apply, dense, k_inv2, b, active, lam0, c, s, b_max, tol, b
     while True:
         u = _primal(a, c, s)
         Ku = op_apply(u)
-        best = _better(best, _certificate(u, Ku, lam, a, b, active, c, s, b_max))
+        best = _better(best, _certificate(u, Ku, lam, dual, b_act, act, c, s, b_max))
         if _accepted(best, tol) or steps >= budget:
             break
-        grad = np.where(active, b - Ku, 0.0)
-        free = active & ((lam > 0.0) | (grad > 0.0))
-        fprime = expo * np.divide(u, a, out=np.zeros_like(a), where=a > 0.0)   # f'(a)
+        grad = b - Ku
+        grad[inactive] = 0.0
+        free = (lam > 0.0) | (grad > 0.0)   # lam and grad vanish off {b > 0}
+        fprime = np.divide(u, a, out=np.zeros(a.shape), where=a > 0.0)
+        fprime *= expo   # f'(a)
 
         steps += 1
         n_free = int(np.count_nonzero(free))
@@ -184,7 +204,7 @@ def _newton_ascent(op_apply, dense, k_inv2, b, active, lam0, c, s, b_max, tol, b
             steps += n_free
         else:
             def hess_mv(v):
-                vv = np.zeros_like(b)
+                vv = np.zeros(b.shape)
                 vv[free] = v
                 return op_apply(fprime * op_apply(vv))[free]
 
@@ -194,14 +214,16 @@ def _newton_ascent(op_apply, dense, k_inv2, b, active, lam0, c, s, b_max, tol, b
             d, cg_steps = _cg(hess_mv, grad[free], tol=1e-12,
                               max_iter=min(budget - steps, n_free), prec=prec)
             steps += cg_steps
-        if not np.any(d):
+        if not d.any():
             break
-        step = np.zeros_like(b)
+        step = np.zeros(b.shape)
         step[free] = d
         t_step = 1.0
         improved = False
         for _ in range(25):
-            lam_try = np.maximum(lam + t_step * step, 0.0)
+            lam_try = t_step * step
+            lam_try += lam
+            np.maximum(lam_try, 0.0, out=lam_try)
             a_try = op_apply(lam_try)
             t, dual_try = _ray(lam_try, a_try, b, c, s)
             if dual_try > dual * (1.0 + 1e-15) or (dual <= 0 and dual_try > dual):
@@ -235,7 +257,7 @@ def _scaled_inverse(k_inv2, free, fprime):
     F; k_inv2 applies K~^-2 to grid values. None when f' vanishes on F.
     """
     fp = fprime[free]
-    floor = PREC_FLOOR * float(np.max(fp))
+    floor = PREC_FLOOR * float(fp.max())
     if floor <= 0.0:
         return None
     scale = 1.0 / np.sqrt(np.maximum(fp, floor))
@@ -286,7 +308,9 @@ def _cg(mv, rhs, tol, max_iter, prec=None):
 def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
                      tol: float = 1e-6, max_iter: int = MAX_ITER,
                      warm=None) -> ProgramResult:
-    """Solve the obstacle program; `obstacle` is a grid-shaped nonnegative array.
+    """Solve the obstacle program; `obstacle` is a grid-shaped array.
+
+    Raises ValueError unless the obstacle is finite and nonnegative.
 
     `warm` is a nonnegative multiplier from an earlier solve (the `multiplier`
     of its ProgramResult), or None. Its restriction to {b > 0} seeds the
@@ -305,20 +329,19 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
     grid = table.grid
     if obstacle.shape != grid.shape:
         raise ValueError("obstacle shape does not match grid")
-    if np.any(obstacle < 0):
-        raise ValueError("obstacle must be nonnegative")
+    b = np.asarray(obstacle, dtype=float)
+    b_max = float(b.max())
+    if not (b_max < math.inf and b.min() >= 0.0):   # also false on NaN
+        raise ValueError("obstacle must be finite and nonnegative")
     if not s > 1:
         raise ValueError(f"s must exceed 1, got {s}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    b = np.asarray(obstacle, dtype=float)
-    active = b > 0
-    zero = np.zeros(grid.shape)
-    if not np.any(active):
-        return ProgramResult(zero, 0.0, 0.0, 0.0, 0.0, 0, True)
+    if b_max == 0.0:   # {b > 0} is empty
+        return ProgramResult(np.zeros(grid.shape), 0.0, 0.0, 0.0, 0.0, 0, True)
 
     c = grid.cell_volume
-    b_max = float(np.max(b))
+    active = b > 0
 
     method = "dense" if grid.size <= DENSE_MAX_NODES else "fast"
 
@@ -334,14 +357,15 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
 
     lam = b
     if warm is not None:
-        seed = np.where(active, np.maximum(np.asarray(warm, dtype=float), 0.0), 0.0)
-        if np.any(seed > 0.0):
+        seed = np.where(active, np.asarray(warm, dtype=float), 0.0)
+        np.maximum(seed, 0.0, out=seed)
+        if (seed > 0.0).any():
             lam = seed
     best, iterations = _newton_ascent(op, dense, k_inv2, b, active, lam, c, s, b_max, tol,
                                       max_iter)
 
     if best is None:
-        return ProgramResult(zero, 0.0, 1.0, math.inf, 0.0, iterations, False)
+        return ProgramResult(np.zeros(grid.shape), 0.0, 1.0, math.inf, 0.0, iterations, False)
     gap_rel, f, value, residual, dual, lam = best
     return ProgramResult(f, value, residual, max(value - dual, 0.0), dual,
                          iterations, _accepted(best, tol), lam)

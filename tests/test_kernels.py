@@ -15,10 +15,10 @@ def test_riesz_gamma_closed_forms():
 
 
 def test_riesz_gamma_high_precision_oracle():
-    mpmath.mp.dps = 50
     n, alpha = 3, 2.0
-    exact = mpmath.gamma((n - alpha) / 2) / (
-        mpmath.pi ** (n / 2) * mpmath.mpf(2) ** alpha * mpmath.gamma(alpha / 2))
+    with mpmath.workdps(50):
+        exact = mpmath.gamma((n - alpha) / 2) / (
+            mpmath.pi ** (n / 2) * mpmath.mpf(2) ** alpha * mpmath.gamma(alpha / 2))
     assert abs(riesz_gamma(n, alpha) - float(exact)) <= 1e-14 * float(exact)
 
 

@@ -231,3 +231,31 @@ def test_s_near_one_gives_finite_result(kind, s):
     assert math.isfinite(res.value) and res.value > 0
     assert math.isfinite(res.gap) and math.isfinite(res.feasibility_residual)
     assert np.all(np.isfinite(res.extremal.values))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_obstacle_rejected(bad):
+    # a non-finite node must raise rather than surface as an unconverged
+    # result with value 0.0 and gap inf
+    g = Grid(1, 1.0, 64)
+    b = ball_mask(g, 0.3).members.astype(float)
+    b[32] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solver.obstacle_program(kernel_table(g, 0.4, "riesz"), b, 2.0)
+
+
+@pytest.mark.parametrize("n,alpha,method", [(1, 0.4, "dense"), (2, 0.7, "fast")])
+def test_returned_multiplier_is_ray_optimal(n, alpha, method):
+    # certificates take the dual value the ascent holds for its iterate, so
+    # the returned multiplier must sit at its optimal ray point (t = 1) with
+    # that dual value; 64 nodes take the dense path, 4,096 the PCG path
+    g = Grid(n, 1.0, 64)
+    table = kernel_table(g, alpha, "riesz")
+    b = ball_mask(g, 0.3).members.astype(float)
+    s = 2.0
+    res = solver.obstacle_program(table, b, s)
+    assert res.converged
+    lam = res.multiplier
+    t, dual = solver._ray(lam, apply_kernel(table, lam, method), b, g.cell_volume, s)
+    assert abs(t - 1.0) <= 1e-12
+    assert abs(dual - res.dual_value) <= 1e-12 * abs(res.dual_value)
