@@ -86,6 +86,11 @@ class NormEstimate:
         )
 
 
+def _zero_estimate(grid) -> NormEstimate:
+    """The exact estimate of every norm at the zero function."""
+    return NormEstimate(0.0, 0.0, Field(grid, np.zeros(grid.shape), nonneg=True))
+
+
 @dataclass
 class SolveScope:
     """Memo and solver counters of one solve scope."""
@@ -291,7 +296,7 @@ def f_norm(u: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
     r = params.r
     vals = np.abs(u.values)
     if not np.any(vals > 0):
-        return NormEstimate(0.0, 0.0, Field(u.grid, np.zeros(u.grid.shape), nonneg=True))
+        return _zero_estimate(u.grid)
     obstacle = vals ** (1.0 / r)
     res = _solve(params, u.grid, obstacle, kind, tol, max_iter)
     power = r / params.s

@@ -7,11 +7,13 @@ nonconvex; alternating reweighting refines the upper bound only, and lower
 bounds that would require the papers' implicit constants are flagged
 'heuristic-lower' and excluded from hard assertions.
 
-All evaluators normalize their input first and rescale the result, so
-absolute homogeneity holds exactly; the majorant witnesses of `kv_norm`,
-`lambda_functional` and `beta_functional` are rescaled with it, so they are
-in the units of the input. Each evaluator runs in a solve scope
-(see `capacity`), so an obstacle program it meets twice is solved once.
+Each evaluator checks its input and returns through one frame, `_normalized`,
+which runs its body on |f| / max|f| and rescales the result by max|f|: the
+witness by max|f| to the evaluator's witness degree (0 for the weights and test
+functions of m, O-tilde and n; 1 for the majorants of kv, lambda and beta). So
+absolute homogeneity holds exactly and witnesses are in the units of the input.
+Each evaluator runs in a solve scope (see `capacity`), so an obstacle program
+it meets twice is solved once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import NormEstimate, choquet_integral, lq_cap_norm, scoped, _solve
+from .capacity import (NormEstimate, choquet_integral, lq_cap_norm, scoped, _solve,
+                       _zero_estimate)
 from .families import DEFAULT_FAMILY_SEED, field_family
 from .grid import Field, Grid, Params, integrate, lp_norm
 from .maximal import a1_constant
@@ -37,7 +40,9 @@ __all__ = [
     "a1_weight_witness",
 ]
 
-_REWEIGHT_STOP = 1e-4   # relative decrease below which alternating schemes stop
+# a reweighting round that lowers the upper bound by less than this relative
+# amount ends the loop: otilde_norm keeps that gain, n_norm rejects it
+_REWEIGHT_STOP = 1e-4
 
 
 @dataclass
@@ -47,8 +52,33 @@ class WeightWitness:
     construction: str
 
 
-def _zero_estimate(grid: Grid) -> NormEstimate:
-    return NormEstimate(0.0, 0.0, Field(grid, np.zeros(grid.shape), nonneg=True))
+def _normalized(f: Field, unit, witness_degree: int) -> NormEstimate:
+    """The zero estimate if f = 0; else `unit(|f| / scale, scale)` with scale =
+    max|f|, its bounds multiplied by scale and its witness by scale**witness_degree."""
+    scale = float(np.max(np.abs(f.values)))
+    if scale == 0.0:
+        return _zero_estimate(f.grid)
+    est = unit(np.abs(f.values) / scale, scale)
+    witness = est.witness
+    if witness_degree:
+        witness = Field(f.grid, witness.values * scale**witness_degree, nonneg=True)
+    return NormEstimate(est.lower * scale, est.upper * scale, witness, est.flags,
+                        est.details)
+
+
+def _best(candidates, objective) -> tuple:
+    """The candidate of least objective and that value; ties keep the first."""
+    best, value = None, np.inf
+    for cand in candidates:
+        val = objective(cand)
+        if val < value:
+            best, value = cand, val
+    return best, value
+
+
+def _heuristic_lower(upper: float, witness: Field, **details) -> NormEstimate:
+    """An upper bound attained by `witness`; the lower field repeats it, flagged."""
+    return NormEstimate(upper, upper, witness, ("heuristic-lower",), details)
 
 
 def _l_s_normalized(h: Field, s: float) -> Field | None:
@@ -100,7 +130,7 @@ def _dyadic_cube_ratio(f_pow: np.ndarray, grid: Grid, params: Params, kind: str,
         sums = blocks.sum(axis=axes) * grid.cell_volume
         lo = N // 2 - size // 2
         members = np.zeros(grid.shape, dtype=bool)
-        members[tuple(slice(lo, lo + max(size, 1)) for _ in range(dim))] = True
+        members[tuple(slice(lo, lo + size) for _ in range(dim))] = True
         res = _solve(params, grid, members.astype(float), kind, tol)
         if res.value > 0:
             ratio = float(np.max(sums)) / res.value
@@ -127,44 +157,42 @@ def m_norm(f: Field, params: Params, kind: str = "riesz", budget: int = 32,
     if params.p is None or params.r is None:
         raise ValueError("params.p and params.r must be set for m_norm")
     p, r, s = params.p, params.r, params.s
-    scale = float(np.max(np.abs(f.values)))
-    if scale == 0.0:
-        return _zero_estimate(f.grid)
-    fhat = np.abs(f.values) / scale
-    f_pow = fhat**p
+    grid = f.grid
 
-    lower = 0.0
-    best_h = None
-    for h in field_family("mixed", seed, budget, f.grid):
-        hn = _l_s_normalized(h, s)
-        if hn is None:
-            continue
-        v = potential(hn, params.alpha, kind).values
-        val = (integrate(Field(f.grid, v**r * f_pow)) ) ** (1.0 / p)
-        if val > lower:
-            lower, best_h = val, hn
+    def unit(fhat, scale):
+        f_pow = fhat**p
 
-    details = {}
-    if r == s:
-        raw_upper, cube_size = _dyadic_cube_ratio(f_pow, f.grid, params, kind, tol)
-        upper = raw_upper ** (1.0 / p)
-        details["cube_size"] = cube_size
+        def minus_trace(hn):   # negated, as the lower bound is the largest value
+            v = potential(hn, params.alpha, kind).values
+            return -integrate(Field(grid, v**r * f_pow)) ** (1.0 / p)
+
+        hns = [hn for h in field_family("mixed", seed, budget, grid)
+               if (hn := _l_s_normalized(h, s)) is not None]
+        best_h, minus_lower = _best(hns, minus_trace)
+        lower = max(-minus_lower, 0.0)    # 0 when the family has no nonzero h
+
         flags = ("equivalence-upper",)
-    else:
-        # import at call time: perfbench counts calls by patching this module binding
-        from .potentials import Measure, wolff_potential
+        if r == s:
+            ratio, cube_size = _dyadic_cube_ratio(f_pow, grid, params, kind, tol)
+            upper = ratio ** (1.0 / p)
+            details = {"cube_size": cube_size}
+        else:
+            # import at call time: perfbench counts calls by patching this module binding
+            from .potentials import Measure, wolff_potential
 
-        mu = Measure.from_density(Field(f.grid, f_pow, nonneg=True))
-        w = wolff_potential(mu, params.alpha, s).values
-        kappa_exp = (s - 1.0) * r / (s - r)
-        integral = integrate(Field(f.grid, w**kappa_exp * f_pow))
-        upper = integral ** ((s - r) / (s * p))
-        flags = ("equivalence-upper",)
-    details["raw_upper"] = upper
-    if upper < lower:
-        upper = lower
-        flags = flags + ("clipped-to-lower",)
-    return NormEstimate(lower * scale, upper * scale, best_h, flags, details)
+            mu = Measure.from_density(Field(grid, f_pow, nonneg=True))
+            w = wolff_potential(mu, params.alpha, s).values
+            kappa_exp = (s - 1.0) * r / (s - r)
+            integral = integrate(Field(grid, w**kappa_exp * f_pow))
+            upper = integral ** ((s - r) / (s * p))
+            details = {}
+        details["raw_upper"] = upper * scale
+        if upper < lower:
+            upper = lower
+            flags = flags + ("clipped-to-lower",)
+        return NormEstimate(lower, upper, best_h, flags, details)
+
+    return _normalized(f, unit, 0)
 
 
 # -- weighted O-type norm -------------------------------------------------------
@@ -192,50 +220,39 @@ def otilde_norm(g: Field, params: Params, kind: str = "riesz", tol: float = 1e-6
     """
     q, s = params.q_below_s("otilde_norm"), params.s
     grid = g.grid
-    scale = float(np.max(np.abs(g.values)))
-    if scale == 0.0:
-        return _zero_estimate(grid)
-    ghat = np.abs(g.values) / scale
     cell = grid.cell_volume
 
-    g_field = Field(grid, ghat, nonneg=True)
-    nq0 = lq_cap_norm(g_field, q, params, kind, levels=levels, tol=tol)
-    w = ghat / nq0
-    upper = _otilde_objective(ghat, w, q, s, cell)
-    best_w = w
-    for extra in extra_witnesses:
-        obj = _otilde_objective(ghat, extra.values, q, s, cell)
-        if obj < upper:
-            upper, best_w = obj, extra.values
+    def unit(ghat, scale):
+        nq0 = lq_cap_norm(Field(grid, ghat, nonneg=True), q, params, kind, levels=levels,
+                          tol=tol)
+        best_w, upper = _best([ghat / nq0, *(extra.values for extra in extra_witnesses)],
+                              lambda w: _otilde_objective(ghat, w, q, s, cell))
 
-    for _ in range(max_rounds):
-        obstacle = np.maximum(best_w, 0.0) ** (q / s)
-        res = _solve(params, grid, obstacle, kind, tol)
-        phi = res.extremal
-        mix = np.where(ghat > 0, ghat * np.where(best_w > 0, best_w, 1.0) ** (q / s - 1.0), 0.0)
-        h_mix = Field(grid, mix + upper * phi, nonneg=True)
-        v = potential(h_mix, params.alpha, kind).values
-        nq = choquet_integral(Field(grid, v**s, nonneg=True), params, kind,
-                              levels=levels, tol=tol) ** (1.0 / q)
-        w_new = v ** (s / q) / nq
-        obj = _otilde_objective(ghat, w_new, q, s, cell)
-        if obj < upper:
-            improved = (upper - obj) / max(upper, 1e-300)
-            upper, best_w = obj, w_new
-            if improved < _REWEIGHT_STOP:
+        for _ in range(max_rounds):
+            obstacle = np.maximum(best_w, 0.0) ** (q / s)
+            res = _solve(params, grid, obstacle, kind, tol)
+            phi = res.extremal
+            mix = np.where(ghat > 0,
+                           ghat * np.where(best_w > 0, best_w, 1.0) ** (q / s - 1.0), 0.0)
+            h_mix = Field(grid, mix + upper * phi, nonneg=True)
+            v = potential(h_mix, params.alpha, kind).values
+            nq = choquet_integral(Field(grid, v**s, nonneg=True), params, kind,
+                                  levels=levels, tol=tol) ** (1.0 / q)
+            w_new = v ** (s / q) / nq
+            obj = _otilde_objective(ghat, w_new, q, s, cell)
+            if obj < upper:
+                improved = (upper - obj) / max(upper, 1e-300)
+                upper, best_w = obj, w_new
+                if improved < _REWEIGHT_STOP:
+                    break
+            else:
                 break
-        else:
-            break
 
-    witness = Field(grid, best_w, nonneg=True)
-    check = lq_cap_norm(witness, q, params, kind, levels=levels, tol=tol)
-    return NormEstimate(
-        lower=upper * scale,
-        upper=upper * scale,
-        witness=witness,
-        flags=("heuristic-lower",),
-        details={"witness_lq_cap_norm": check},
-    )
+        witness = Field(grid, best_w, nonneg=True)
+        check = lq_cap_norm(witness, q, params, kind, levels=levels, tol=tol)
+        return _heuristic_lower(upper, witness, witness_lq_cap_norm=check)
+
+    return _normalized(g, unit, 0)
 
 
 # -- Kalton-Verbitsky norm ------------------------------------------------------
@@ -259,62 +276,51 @@ def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
     potential; evaluated at the proof's candidates plus projected descent."""
     q, s = params.q_below_s("kv_norm"), params.s
     grid = f.grid
-    scale = float(np.max(np.abs(f.values)))
-    if scale == 0.0:
-        return _zero_estimate(grid)
-    fhat = np.abs(f.values) / scale
 
-    candidates = [fhat]
-    for extra in extra_majorants:
-        h_extra = extra.values / scale
-        if np.all(h_extra >= fhat):
-            candidates.append(h_extra)
-    obj0 = _kv_objective(fhat, grid, params, kind)
-    # proof construction: majorant |f| + delta * phi with phi the extremal of
-    # the obstacle w^(q/s) for the normalized weight w = |f| / ||f||_{L^q(cap)}
-    nq0 = lq_cap_norm(Field(grid, fhat, nonneg=True), q, params, kind,
-                      levels=levels, tol=tol)
-    w0 = fhat / nq0
-    res = _solve(params, grid, w0 ** (q / s), kind, tol)
-    candidates.append(fhat + obj0 * res.extremal)
-    # smoothed majorant
-    # import at call time: perfbench counts calls by patching this module binding
-    from .maximal import maximal_function
+    def unit(fhat, scale):
+        candidates = [fhat]
+        for extra in extra_majorants:
+            h_extra = extra.values / scale
+            if np.all(h_extra >= fhat):
+                candidates.append(h_extra)
+        obj0 = _kv_objective(fhat, grid, params, kind)
+        # proof construction: majorant |f| + delta * phi with phi the extremal of
+        # the obstacle w^(q/s) for the normalized weight w = |f| / ||f||_{L^q(cap)}
+        nq0 = lq_cap_norm(Field(grid, fhat, nonneg=True), q, params, kind,
+                          levels=levels, tol=tol)
+        w0 = fhat / nq0
+        res = _solve(params, grid, w0 ** (q / s), kind, tol)
+        candidates.append(fhat + obj0 * res.extremal)
+        # smoothed majorant
+        # import at call time: perfbench counts calls by patching this module binding
+        from .maximal import maximal_function
 
-    smooth = maximal_function(Field(grid, fhat, nonneg=True)).values
-    candidates.append(np.maximum(fhat, 0.5 * smooth))
+        smooth = maximal_function(Field(grid, fhat, nonneg=True)).values
+        candidates.append(np.maximum(fhat, 0.5 * smooth))
+        best_h, upper = _best(candidates, lambda h: _kv_objective(h, grid, params, kind))
 
-    best_h, upper = None, np.inf
-    for h in candidates:
-        val = _kv_objective(h, grid, params, kind)
-        if val < upper:
-            upper, best_h = val, h
+        # projected descent on h >= |f|
+        h = best_h.copy()
+        step = 0.1
+        for _ in range(descent_steps):
+            v = potential(Field(grid, h, nonneg=True), params.alpha, kind).values
+            nz = h > 0
+            grad = np.zeros_like(h)
+            grad[nz] = s * h[nz] ** (s - 1.0) * v[nz] ** (q - s)
+            inner = np.zeros_like(h)
+            inner[nz] = h[nz] ** s * v[nz] ** (q - s - 1.0)
+            grad += (q - s) * potential(Field(grid, inner, nonneg=True), params.alpha, kind).values
+            scale_h = float(np.max(h)) / max(float(np.max(np.abs(grad))), 1e-300)
+            trial = np.maximum(fhat, h - step * scale_h * grad)
+            val = _kv_objective(trial, grid, params, kind)
+            if val < upper:
+                upper, best_h = val, trial
+                h = trial
+            else:
+                step *= 0.5
+        return _heuristic_lower(upper, Field(grid, best_h, nonneg=True))
 
-    # projected descent on h >= |f|
-    h = best_h.copy()
-    step = 0.1
-    for _ in range(descent_steps):
-        v = potential(Field(grid, h, nonneg=True), params.alpha, kind).values
-        nz = h > 0
-        grad = np.zeros_like(h)
-        grad[nz] = s * h[nz] ** (s - 1.0) * v[nz] ** (q - s)
-        inner = np.zeros_like(h)
-        inner[nz] = h[nz] ** s * v[nz] ** (q - s - 1.0)
-        grad += (q - s) * potential(Field(grid, inner, nonneg=True), params.alpha, kind).values
-        scale_h = float(np.max(h)) / max(float(np.max(np.abs(grad))), 1e-300)
-        trial = np.maximum(fhat, h - step * scale_h * grad)
-        val = _kv_objective(trial, grid, params, kind)
-        if val < upper:
-            upper, best_h = val, trial
-            h = trial
-        else:
-            step *= 0.5
-    return NormEstimate(
-        lower=upper * scale,
-        upper=upper * scale,
-        witness=Field(grid, best_h * scale, nonneg=True),
-        flags=("heuristic-lower",),
-    )
+    return _normalized(f, unit, 1)
 
 
 # -- weighted N-type norm -------------------------------------------------------
@@ -335,123 +341,98 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
     p_conj = params.p_conj
     s, r = params.s, params.r
     grid = g.grid
-    scale = float(np.max(np.abs(g.values)))
-    if scale == 0.0:
-        return _zero_estimate(grid)
-    ghat = np.abs(g.values) / scale
     cell = grid.cell_volume
+    with_a1 = variant == "a1_quasicontinuous"
 
-    witnesses = []
-    hs = field_family("mixed", seed, budget, grid)
-    hs.append(Field(grid, ghat, nonneg=True))
-    for h in hs:
-        hn = _l_s_normalized(h, s)
-        if hn is None:
-            continue
-        ww = a1_weight_witness(hn, params, kind, tol=tol, levels=levels,
-                               with_a1=(variant == "a1_quasicontinuous"))
-        witnesses.append(ww)
-    if variant == "plain":
-        nrm = lq_cap_norm(Field(grid, ghat, nonneg=True), s / r, params, kind,
-                          levels=levels, tol=tol)
-        witnesses.append(WeightWitness(Field(grid, ghat / nrm, nonneg=True), None, "custom"))
-    for extra in extra_witnesses:
-        witnesses.append(WeightWitness(extra, None, "custom"))
+    def unit(ghat, scale):
+        # the N objective is the O-tilde objective at q = 1 and s = p'
+        def objective(ww):
+            return _otilde_objective(ghat, ww.weight.values, 1.0, p_conj, cell)
 
-    # the N objective is the O-tilde objective at q = 1 and s = p'
-    best, upper = None, np.inf
-    for ww in witnesses:
-        val = _otilde_objective(ghat, ww.weight.values, 1.0, p_conj, cell)
-        if val < upper:
-            upper, best = val, ww
+        hs = field_family("mixed", seed, budget, grid)
+        hs.append(Field(grid, ghat, nonneg=True))
+        witnesses = [a1_weight_witness(hn, params, kind, tol=tol, levels=levels, with_a1=with_a1)
+                     for h in hs if (hn := _l_s_normalized(h, s)) is not None]
+        if variant == "plain":
+            nrm = lq_cap_norm(Field(grid, ghat, nonneg=True), s / r, params, kind,
+                              levels=levels, tol=tol)
+            witnesses.append(WeightWitness(Field(grid, ghat / nrm, nonneg=True), None, "custom"))
+        for extra in extra_witnesses:
+            witnesses.append(WeightWitness(extra, None, "custom"))
+        best, upper = _best(witnesses, objective)
 
-    for _ in range(max_rounds):
-        # reweighting: extremal of the obstacle w^(1/r) restarts the construction
-        obstacle = np.maximum(best.weight.values, 0.0) ** (1.0 / r)
-        res = _solve(params, grid, obstacle, kind, tol)
-        hn = _l_s_normalized(Field(grid, res.extremal, nonneg=True), s)
-        if hn is None:
-            break
-        ww = a1_weight_witness(hn, params, kind, tol=tol, levels=levels,
-                               with_a1=(variant == "a1_quasicontinuous"))
-        val = _otilde_objective(ghat, ww.weight.values, 1.0, p_conj, cell)
-        if val < upper * (1 - _REWEIGHT_STOP):
-            upper, best = val, ww
-        else:
-            break
+        for _ in range(max_rounds):
+            # reweighting: extremal of the obstacle w^(1/r) restarts the construction
+            obstacle = np.maximum(best.weight.values, 0.0) ** (1.0 / r)
+            res = _solve(params, grid, obstacle, kind, tol)
+            hn = _l_s_normalized(Field(grid, res.extremal, nonneg=True), s)
+            if hn is None:
+                break
+            ww = a1_weight_witness(hn, params, kind, tol=tol, levels=levels, with_a1=with_a1)
+            val = objective(ww)
+            if val < upper * (1 - _REWEIGHT_STOP):
+                upper, best = val, ww
+            else:
+                break
 
-    check = lq_cap_norm(best.weight, s / r, params, kind, levels=levels, tol=tol)
-    return NormEstimate(
-        lower=upper * scale,
-        upper=upper * scale,
-        witness=best.weight,
-        flags=("heuristic-lower",),
-        details={"witness_lq_cap_norm": check, "witness_a1": best.a1_value,
-                 "construction": best.construction},
-    )
+        check = lq_cap_norm(best.weight, s / r, params, kind, levels=levels, tol=tol)
+        return _heuristic_lower(upper, best.weight, witness_lq_cap_norm=check,
+                                witness_a1=best.a1_value, construction=best.construction)
+
+    return _normalized(g, unit, 0)
 
 
 # -- lambda / beta functionals --------------------------------------------------
 
-def _majorized_candidate(u_abs: np.ndarray, params: Params, kind: str, grid: Grid,
-                         tol: float):
-    """Proof construction: extremal g of the obstacle |u|^(q/s), then
-    f = g (I g)^(s/q - 1), rescaled so its potential dominates |u| at nodes."""
+def _majorants(uhat: np.ndarray, params: Params, kind: str, grid: Grid,
+               tol: float) -> list:
+    """The feasible f of lambda and beta: f = g (I g)^(s/q - 1) for the extremal g
+    of the obstacle uhat^(q/s) (the proof's construction), and the extremal of
+    uhat; each rescaled up until its potential dominates uhat at nodes."""
     q, s = params.q, params.s
-    res = _solve(params, grid, u_abs ** (q / s), kind, tol)
-    gext = res.extremal
-    v = potential(Field(grid, gext, nonneg=True), params.alpha, kind).values
-    f_cand = gext * np.maximum(v, 0.0) ** (s / q - 1.0)
-    vf = potential(Field(grid, f_cand, nonneg=True), params.alpha, kind).values
-    nz = u_abs > 0
-    c_maj = float(np.max(u_abs[nz] / vf[nz])) if np.any(nz) else 0.0
-    return f_cand * c_maj
+    nz = uhat > 0
 
+    def ratio(f):   # max of uhat / I f over the support of uhat
+        vf = potential(Field(grid, f, nonneg=True), params.alpha, kind).values
+        return float(np.max(uhat[nz] / vf[nz]))
 
-def _lambda_beta(u: Field, params: Params, kind: str, tol: float, levels: int,
-                 want: str) -> NormEstimate:
-    params.q_below_s(f"{want}_functional")
-    grid = u.grid
-    scale = float(np.max(np.abs(u.values)))
-    if scale == 0.0:
-        return _zero_estimate(grid)
-    uhat = np.abs(u.values) / scale
-
-    f1 = _majorized_candidate(uhat, params, kind, grid, tol)
-    # direct obstacle extremal as a second feasible candidate
-    res2 = _solve(params, grid, uhat, kind, tol)
-    candidates = [f1, res2.extremal]
-
-    best, upper = None, np.inf
-    for f_cand in candidates:
-        vf = potential(Field(grid, f_cand, nonneg=True), params.alpha, kind).values
-        nz = uhat > 0
-        slack = float(np.max(uhat[nz] / vf[nz]))
-        f_use = f_cand * max(slack, 1e-300) if slack > 1.0 else f_cand
-        ff = Field(grid, f_use, nonneg=True)
-        if want == "lambda":
-            val = otilde_norm(ff, params, kind, tol=tol, levels=levels, max_rounds=2).upper
-        else:
-            val = _kv_objective(f_use, grid, params, kind)
-        if val < upper:
-            upper, best = val, ff
-    return NormEstimate(
-        lower=upper * scale,
-        upper=upper * scale,
-        witness=Field(grid, best.values * scale, nonneg=True),
-        flags=("heuristic-lower",),
-    )
+    g = _solve(params, grid, uhat ** (q / s), kind, tol).extremal
+    v = potential(Field(grid, g, nonneg=True), params.alpha, kind).values
+    f_cand = g * np.maximum(v, 0.0) ** (s / q - 1.0)
+    f_cand = f_cand * ratio(f_cand)
+    majorants = []
+    for f in (f_cand, _solve(params, grid, uhat, kind, tol).extremal):
+        slack = ratio(f)
+        majorants.append(f * slack if slack > 1.0 else f)
+    return majorants
 
 
 @scoped
 def lambda_functional(u: Field, params: Params, kind: str = "riesz",
                       tol: float = 1e-6, levels: int = 32) -> NormEstimate:
     """Least O-norm of a nonnegative f whose potential dominates |u| at nodes."""
-    return _lambda_beta(u, params, kind, tol, levels, "lambda")
+    params.q_below_s("lambda_functional")
+    grid = u.grid
+
+    def unit(uhat, scale):
+        best, upper = _best(_majorants(uhat, params, kind, grid, tol),
+                            lambda f: otilde_norm(Field(grid, f, nonneg=True), params, kind,
+                                                  tol=tol, levels=levels, max_rounds=2).upper)
+        return _heuristic_lower(upper, Field(grid, best, nonneg=True))
+
+    return _normalized(u, unit, 1)
 
 
 @scoped
 def beta_functional(u: Field, params: Params, kind: str = "riesz",
                     tol: float = 1e-6, levels: int = 32) -> NormEstimate:
     """Least mixed s-q integral of such a majorizing f."""
-    return _lambda_beta(u, params, kind, tol, levels, "beta")
+    params.q_below_s("beta_functional")
+    grid = u.grid
+
+    def unit(uhat, scale):
+        best, upper = _best(_majorants(uhat, params, kind, grid, tol),
+                            lambda f: _kv_objective(f, grid, params, kind))
+        return _heuristic_lower(upper, Field(grid, best, nonneg=True))
+
+    return _normalized(u, unit, 1)

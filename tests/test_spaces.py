@@ -40,21 +40,46 @@ def test_q_range_error_names_evaluator(g64, evaluator, q):
         evaluator(z, P_Q.replace(q=q))
 
 
+@pytest.mark.parametrize("evaluator, params, kwargs, message", [
+    (m_norm, P_RS.replace(p=None), {}, "params.p and params.r must be set for m_norm"),
+    (m_norm, P_RS.replace(r=None), {}, "params.p and params.r must be set for m_norm"),
+    (n_norm, P_RL.replace(p=None), {}, "n_norm needs params.p and params.r"),
+    (n_norm, P_RL.replace(r=None), {}, "n_norm needs params.p and params.r"),
+    (n_norm, P_RL, {"variant": "a1"}, "unknown variant 'a1'"),
+])
+def test_input_checks_run_before_zero_return(g64, evaluator, params, kwargs, message):
+    z = Field(g64, np.zeros(g64.shape))
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        evaluator(z, params, **kwargs)
+
+
 def test_exact_homogeneity_all_evaluators(g64):
     f = _indicator(g64)
     f2 = Field(g64, 2.0 * f.values, nonneg=True)
-    pairs = [
-        (m_norm(f, P_RS, budget=4), m_norm(f2, P_RS, budget=4)),
-        (otilde_norm(f, P_Q, levels=16, max_rounds=1),
-         otilde_norm(f2, P_Q, levels=16, max_rounds=1)),
-        (kv_norm(f, P_Q, levels=16, descent_steps=2),
-         kv_norm(f2, P_Q, levels=16, descent_steps=2)),
-        (n_norm(f, P_RL, budget=2, levels=16, max_rounds=1),
-         n_norm(f2, P_RL, budget=2, levels=16, max_rounds=1)),
+    table = [   # (evaluator, call, witness degree)
+        (m_norm, dict(params=P_RS, budget=4), 0),
+        (m_norm, dict(params=P_RL, budget=4), 0),
+        (otilde_norm, dict(params=P_Q, levels=16, max_rounds=1), 0),
+        (kv_norm, dict(params=P_Q, levels=16, descent_steps=2), 1),
+        (n_norm, dict(params=P_RL, budget=2, levels=16, max_rounds=1), 0),
+        (lambda_functional, dict(params=P_Q, levels=16), 1),
+        (beta_functional, dict(params=P_Q, levels=16), 1),
     ]
-    for one, two in pairs:
+    for evaluator, call, degree in table:
+        one, two = evaluator(f, **call), evaluator(f2, **call)
         assert two.upper == 2.0 * one.upper
         assert two.lower == 2.0 * one.lower
+        assert np.array_equal(two.witness.values, 2.0**degree * one.witness.values)
+        if evaluator is m_norm:
+            assert two.details["raw_upper"] == 2.0 * one.details["raw_upper"]
+
+
+def test_m_norm_raw_upper_in_input_units(g64):
+    # amplitude 3: the raw bound of the sup-normalized input would be off by 3
+    one = m_norm(_indicator(g64), P_RS, budget=4)
+    three = m_norm(Field(g64, 3.0 * _indicator(g64).values, nonneg=True), P_RS, budget=4)
+    assert three.details["raw_upper"] == 3.0 * one.details["raw_upper"]
+    assert three.upper >= three.details["raw_upper"]
 
 
 def test_m_norm_bounds_and_witness(g64):
