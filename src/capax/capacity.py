@@ -199,7 +199,7 @@ def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
 
 
 def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int = 48,
-                     tol: float = 1e-6, max_iter: int = MAX_ITER) -> float:
+                     tol: float = 1e-6) -> float:
     """Layer-cake integral of g >= 0 against the capacity of its superlevel sets.
 
     Levels are log-spaced over (min positive value, max value]; each level's
@@ -219,7 +219,7 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
     support = vals > 0
     pos_min = float(np.min(vals[support]))
 
-    res_support = _solve(params, grid, support.astype(float), kind, tol, max_iter)
+    res_support = _solve(params, grid, support.astype(float), kind, tol)
     total = pos_min * res_support.value
     if vmax <= pos_min * (1 + 1e-14):
         return total
@@ -250,7 +250,7 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
     warm = res_support.multiplier if res_support.converged else None
     for k, j in enumerate(idx):
         mask = vals > breaks[j]
-        res = _solve(params, grid, mask.astype(float), kind, tol, max_iter, warm)
+        res = _solve(params, grid, mask.astype(float), kind, tol, warm=warm)
         caps_sampled[k] = res.value
         if res.converged:
             warm = res.multiplier
@@ -266,7 +266,7 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
 
 
 def lq_cap_norm(u: Field, q: float, params: Params, kind: str = "riesz",
-                levels: int = 48, tol: float = 1e-6, max_iter: int = MAX_ITER) -> float:
+                levels: int = 48, tol: float = 1e-6) -> float:
     """Choquet L^q quasi-norm: the layer cake of |u|^q, to the power 1/q.
 
     The input is sup-normalized first so absolute homogeneity is exact.
@@ -279,12 +279,11 @@ def lq_cap_norm(u: Field, q: float, params: Params, kind: str = "riesz",
     if scale == 0.0:
         return 0.0
     absq = Field(u.grid, (np.abs(u.values) / scale) ** q, nonneg=True)
-    layer = choquet_integral(absq, params, kind, levels=levels, tol=tol, max_iter=max_iter)
+    layer = choquet_integral(absq, params, kind, levels=levels, tol=tol)
     return scale * layer ** (1.0 / q)
 
 
-def f_norm(u: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
-           max_iter: int = MAX_ITER) -> NormEstimate:
+def f_norm(u: Field, params: Params, kind: str = "riesz", tol: float = 1e-6) -> NormEstimate:
     """Obstacle-form norm: inf of the r-th power of the L^s norm of f >= 0 whose
     potential dominates |u|^(1/r) at every node.
 
@@ -298,7 +297,7 @@ def f_norm(u: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
     if not np.any(vals > 0):
         return _zero_estimate(u.grid)
     obstacle = vals ** (1.0 / r)
-    res = _solve(params, u.grid, obstacle, kind, tol, max_iter)
+    res = _solve(params, u.grid, obstacle, kind, tol)
     power = r / params.s
     upper = res.value**power
     lower = max(res.dual_value, 0.0) ** power

@@ -217,23 +217,23 @@ def run(cfg: RunConfig) -> int:
     start = time.monotonic()
     with solve_scope() as scope:
         before = scope.counts()
-        outputs, degraded = _COMMANDS[cfg.command](cfg)
+        outputs = _COMMANDS[cfg.command](cfg)
         solver = scope.since(before)
     for path, text in outputs:
         _write(path, text)
     if cfg.output:
         _write_manifest(cfg, cfg.output, time.monotonic() - start, solver)
-    return 2 if degraded or solver["nonconverged"] else 0
+    return 2 if solver["nonconverged"] > 0 else 0
 
 
-# -- commands: each returns its (path, text) outputs and a degraded flag ------
+# -- commands: each returns its (path, text) outputs --------------------------
 
 def _output(cfg: RunConfig, serialize) -> list:
     """The --output file as a (path, text) pair, if --output is given."""
     return [(cfg.output, serialize())] if cfg.output else []
 
 
-def _capacity(cfg: RunConfig) -> tuple:
+def _capacity(cfg: RunConfig) -> list:
     if cfg.set_spec:
         mask = parse_set_spec(cfg.grid(), cfg.set_spec)
     elif cfg.input:
@@ -246,18 +246,18 @@ def _capacity(cfg: RunConfig) -> tuple:
     outputs = _output(cfg, result.to_json)
     if cfg.extremal_out:
         outputs.append((cfg.extremal_out, field_to_json(result.extremal)))
-    return outputs, not result.converged
+    return outputs
 
 
-def _potential(cfg: RunConfig) -> tuple:
+def _potential(cfg: RunConfig) -> list:
     f = field_from_json(_read_input(cfg, "a Field JSON file"))
     out = potential(f, cfg.alpha, cfg.kind)
     print(f"potential kind={cfg.kind} max={np.max(out.values):.10g} "
           f"min={np.min(out.values):.10g}")
-    return _output(cfg, lambda: field_to_json(out)), False
+    return _output(cfg, lambda: field_to_json(out))
 
 
-def _wolff(cfg: RunConfig) -> tuple:
+def _wolff(cfg: RunConfig) -> list:
     density = field_from_json(_read(cfg.input)) if cfg.input else None
     grid = cfg.grid() if density is None else density.grid
     atoms = tuple(zip(*parse_atoms(cfg.atoms, grid.dim))) if cfg.atoms else ()
@@ -266,26 +266,26 @@ def _wolff(cfg: RunConfig) -> tuple:
     mu = Measure(grid, atoms, density)
     out = wolff_potential(mu, cfg.alpha, cfg.s, math.inf if cfg.R is None else cfg.R)
     print(f"wolff max={np.max(out.values):.10g} total_mass={mu.total_mass:.10g}")
-    return _output(cfg, lambda: field_to_json(out)), False
+    return _output(cfg, lambda: field_to_json(out))
 
 
-def _choquet(cfg: RunConfig) -> tuple:
+def _choquet(cfg: RunConfig) -> list:
     f = field_from_json(_read_input(cfg, "a nonnegative Field JSON file"))
     value = choquet_integral(f, cfg.params(f.grid), cfg.kind, levels=cfg.levels, tol=cfg.tol)
     print(f"choquet integral={value:.10g}")
-    return _output(cfg, lambda: json.dumps({"value": value})), False
+    return _output(cfg, lambda: json.dumps({"value": value}))
 
 
-def _norm(cfg: RunConfig) -> tuple:
+def _norm(cfg: RunConfig) -> list:
     if not cfg.norm:
         raise ValueError(f"norm needs --norm {{{','.join(_NORMS)}}}")
     f = field_from_json(_read_input(cfg, "a Field JSON file"))
     summary, serialize = _NORMS[cfg.norm](f, cfg.params(f.grid), cfg)
     print(summary)
-    return _output(cfg, serialize), False
+    return _output(cfg, serialize)
 
 
-def _verify(cfg: RunConfig) -> tuple:
+def _verify(cfg: RunConfig) -> list:
     if not cfg.check:
         raise ValueError("verify needs --check")
     grid = cfg.grid()
@@ -306,12 +306,12 @@ def _verify(cfg: RunConfig) -> tuple:
     if math.isinf(report.max_ratio):
         raise ValueError("infinite ratio in report: inequality check failed hard")
     if not cfg.output:
-        return [], False
+        return []
     base = cfg.output[:-5] if cfg.output.endswith(".json") else cfg.output
-    return [(cfg.output, report_to_json(report)), (base + ".csv", report_to_csv(report))], False
+    return [(cfg.output, report_to_json(report)), (base + ".csv", report_to_csv(report))]
 
 
-def _report(cfg: RunConfig) -> tuple:
+def _report(cfg: RunConfig) -> list:
     doc = json.loads(_read_input(cfg, "a report JSON file"))
     print(f"inequality: {doc.get('inequality_id')}")
     print(f"max_ratio:  {doc.get('max_ratio')}")
@@ -319,7 +319,7 @@ def _report(cfg: RunConfig) -> tuple:
         mark = " (skipped)" if s.get("skipped") else ""
         print(f"  #{s['sample_id']}: lhs={s['lhs']:.6g} rhs={s['rhs']:.6g} "
               f"ratio={s['ratio']:.6g}{mark}")
-    return _output(cfg, lambda: report_to_csv(doc)), False
+    return _output(cfg, lambda: report_to_csv(doc))
 
 
 _COMMANDS = {"capacity": _capacity, "potential": _potential, "wolff": _wolff,

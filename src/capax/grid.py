@@ -7,7 +7,7 @@ Everything outside the box is treated as zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace as dataclass_replace
 from functools import cached_property
 
 import numpy as np
@@ -231,9 +231,7 @@ class Params:
         return self.p / (self.p - 1.0)
 
     def replace(self, **kw) -> "Params":
-        d = dict(n=self.n, alpha=self.alpha, s=self.s, q=self.q, p=self.p, r=self.r)
-        d.update(kw)
-        return Params(**d)
+        return dataclass_replace(self, **kw)
 
 
 def integrate(f: Field) -> float:
@@ -275,20 +273,12 @@ def annulus_mask(grid: Grid, r_inner: float, r_outer: float, center=None) -> Mas
 
 # -- serialization: JSON with a header and row-major values -------------------
 
-def _grid_header(grid: Grid) -> dict:
-    return {
-        "dim": grid.dim,
-        "half_width": grid.half_width,
-        "points_per_axis": grid.points_per_axis,
-    }
-
-
 def _grid_from_header(h: dict) -> Grid:
     return Grid(int(h["dim"]), float(h["half_width"]), int(h["points_per_axis"]))
 
 
 def field_to_json(f: Field) -> str:
-    doc = _grid_header(f.grid)
+    doc = asdict(f.grid)
     doc["nonneg"] = f.nonneg
     doc["values"] = f.values.ravel().tolist()
     return json.dumps(doc)
@@ -301,7 +291,7 @@ def field_from_json(text: str) -> Field:
 
 
 def mask_to_json(m: Mask) -> str:
-    doc = _grid_header(m.grid)
+    doc = asdict(m.grid)
     doc["members"] = [int(v) for v in m.members.ravel()]
     return json.dumps(doc)
 

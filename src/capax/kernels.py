@@ -129,8 +129,6 @@ def _offset_radii(grid: Grid) -> np.ndarray:
 @lru_cache(maxsize=64)
 def riesz_kernel_table(grid: Grid, alpha: float) -> KernelTable:
     n = grid.dim
-    if not 0 < alpha < n:
-        raise ValueError(f"need 0 < alpha < n, got alpha={alpha}, n={n}")
     r = _offset_radii(grid)
     center = (grid.points_per_axis - 1,) * n
     with np.errstate(divide="ignore"):

@@ -18,7 +18,7 @@ it meets twice is solved once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,8 +62,7 @@ def _normalized(f: Field, unit, witness_degree: int) -> NormEstimate:
     witness = est.witness
     if witness_degree:
         witness = Field(f.grid, witness.values * scale**witness_degree, nonneg=True)
-    return NormEstimate(est.lower * scale, est.upper * scale, witness, est.flags,
-                        est.details)
+    return replace(est, lower=est.lower * scale, upper=est.upper * scale, witness=witness)
 
 
 def _best(candidates, objective) -> tuple:

@@ -20,16 +20,17 @@ import io
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .capacity import capacity, choquet_integral, lq_cap_norm, scoped, solve_scope
 from .families import DEFAULT_FAMILY_SEED, field_family, measure_family
-from .grid import Field, Grid, Mask, Params, integrate, lp_norm
+from .grid import Field, Grid, Mask, Params, integrate
 from .potentials import Measure, potential, wolff_at_points, wolff_potential
-from .spaces import beta_functional, kv_norm, lambda_functional, m_norm, n_norm, otilde_norm
+from .spaces import (beta_functional, kv_norm, lambda_functional, m_norm, n_norm, otilde_norm,
+                     _l_s_normalized, _otilde_objective)
 
 __all__ = [
     "Sample",
@@ -69,8 +70,8 @@ class ConstantReport:
     inequality_id: str
     params: Params
     family_seed: int
-    samples: list
     max_ratio: float
+    samples: list
     refinement: list = dataclass_field(default_factory=list)   # (N, max_ratio) rows
     meta: dict = dataclass_field(default_factory=dict)
 
@@ -104,7 +105,7 @@ def _report(inequality_id: str, params: Params, seed: int, items,
     over the samples that were not skipped (0 if there are none)."""
     samples = [sample(i, item) for i, item in enumerate(items)]
     max_ratio = max((s.ratio for s in samples if not s.skipped), default=0.0)
-    return ConstantReport(inequality_id, params, seed, samples, max_ratio, [], meta)
+    return ConstantReport(inequality_id, params, seed, max_ratio, samples, [], meta)
 
 
 # -- capacitary strong type inequalities ----------------------------------------
@@ -166,7 +167,6 @@ def check_main2(params: Params, pairs, kind: str = "riesz",
                 tol: float = 1e-6) -> ConstantReport:
     """Weighted bound: L^q(cap) norm of I f against the w-weighted s-integral."""
     q = params.q_below_s("check_main2")
-    s = params.s
 
     def sample(i, pair):
         f, w = pair
@@ -176,12 +176,7 @@ def check_main2(params: Params, pairs, kind: str = "riesz",
         v = potential(f, params.alpha, kind).values
         lhs = choquet_integral(Field(f.grid, v**q, nonneg=True), params, kind,
                                levels=levels, tol=tol) ** (1.0 / q)
-        wv = w.values
-        if np.any((vals > 0) & (wv <= 0)):
-            rhs = math.inf
-        else:
-            integrand = np.where(vals > 0, vals**s * np.where(wv > 0, wv, 1.0) ** (q - s), 0.0)
-            rhs = integrate(Field(f.grid, integrand)) ** (1.0 / s)
+        rhs = _otilde_objective(vals, w.values, q, params.s, f.grid.cell_volume)
         if math.isinf(rhs):
             return Sample(i, lhs, rhs, 0.0, skipped=True, note="weight vanishes on support")
         return _ratio(i, lhs, rhs)
@@ -291,10 +286,9 @@ def check_upper_tri(params: Params, mu_family, kind: str = "riesz",
     cand_pot = []
     cand_unit = []
     for h in cands:
-        nrm = lp_norm(h, s)
-        if nrm <= 0:
+        hn = _l_s_normalized(h, s)
+        if hn is None:
             continue
-        hn = Field(grid, h.values / nrm, nonneg=True)
         cand_pot.append(potential(hn, params.alpha, kind).values)
         u_nrm = lq_cap_norm(h, s / r, params, kind, levels=levels, tol=tol)
         cand_unit.append(h.values / u_nrm)
@@ -314,10 +308,8 @@ def check_upper_tri(params: Params, mu_family, kind: str = "riesz",
         traces = [_measure_pairing(mu, v**r) for v in cand_pot]
         i_mu = potential(Field(grid, _deposited_density(mu), nonneg=True),
                          params.alpha, kind).values
-        h_mu = Field(grid, i_mu ** (1.0 / (s - 1.0)), nonneg=True)
-        nrm = lp_norm(h_mu, s)
-        if nrm > 0:
-            hn = Field(grid, h_mu.values / nrm, nonneg=True)
+        hn = _l_s_normalized(Field(grid, i_mu ** (1.0 / (s - 1.0)), nonneg=True), s)
+        if hn is not None:
             traces.append(_measure_pairing(mu, potential(hn, params.alpha, kind).values**r))
 
         pairings = [_measure_pairing(mu, u) for u in cand_unit]
@@ -506,27 +498,8 @@ def refinement_study(name: str, params: Params, Ns, half_width: float = 1.0,
 
 
 def report_to_json(report: ConstantReport) -> str:
-    doc = {
-        "inequality_id": report.inequality_id,
-        "params": {
-            "n": report.params.n, "alpha": report.params.alpha, "s": report.params.s,
-            "q": report.params.q, "p": report.params.p, "r": report.params.r,
-        },
-        "family_seed": report.family_seed,
-        "max_ratio": float(report.max_ratio),
-        "samples": [
-            {
-                "sample_id": s.sample_id, "lhs": float(s.lhs), "rhs": float(s.rhs),
-                "ratio": float(s.ratio), "skipped": s.skipped, "note": s.note,
-                "quantities": {k: (float(v) if isinstance(v, (int, float, np.floating))
-                                   else v) for k, v in s.quantities.items()},
-            }
-            for s in report.samples
-        ],
-        "refinement": [[int(n), float(r)] for n, r in report.refinement],
-        "meta": report.meta,
-    }
-    return json.dumps(doc, indent=2)
+    """The report's dataclass fields as JSON, in declaration order."""
+    return json.dumps(asdict(report), indent=2)
 
 
 def report_to_csv(report: ConstantReport | dict) -> str:

@@ -21,6 +21,16 @@ def test_empty_set_capacity(g64, params):
     assert np.all(res.extremal.values == 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda E, P: capacity(E, P, "gauss"),
+    lambda E, P: choquet_integral(E.indicator(), P, "gauss"),
+    lambda E, P: potential(E.indicator(), P.alpha, "gauss"),
+], ids=["capacity", "choquet_integral", "potential"])
+def test_unknown_kernel_kind_names_the_kind(g64, params, call):
+    with pytest.raises(ValueError, match="'gauss'"):
+        call(ball_mask(g64, 0.3), params)
+
+
 def test_params_dimension_must_match_grid():
     # alpha * s = 1.4 is valid for n = 2 but exceeds the grid's n = 1
     g = Grid(1, 1.0, 32)

@@ -29,6 +29,13 @@ def test_riesz_gamma_domain():
         riesz_gamma(2, 0.0)
 
 
+@pytest.mark.parametrize("builder", [riesz_kernel_table, bessel_kernel_table])
+@pytest.mark.parametrize("dim,alpha", [(1, 0.0), (1, -0.3), (1, 1.0), (1, 1.5), (2, 2.0)])
+def test_table_builders_reject_alpha_outside_zero_n(builder, dim, alpha):
+    with pytest.raises(ValueError, match="0 < alpha < n"):
+        builder(Grid(dim, 1.0, 8), alpha)
+
+
 def test_riesz_table_positivity_and_monotone():
     g = Grid(2, 1.0, 16)
     t = riesz_kernel_table(g, 0.8)

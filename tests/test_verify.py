@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from capax.families import DEFAULT_FAMILY_SEED, family, field_family, measure_fa
 from capax.potentials import Measure, wolff_at_points
 from capax.verify import (check_adams, check_boundedness, check_ibp, check_kv_equiv, check_main2,
                           check_main3, check_newnorm2, check_upper_tri, check_wolff_weak,
-                          refinement_study, report_to_csv, report_to_json, run_check)
+                          ConstantReport, Sample, refinement_study, report_to_csv,
+                          report_to_json, run_check)
 
 P = Params(1, 0.4, 2.0, q=1.5, p=2.0, r=1.0)
 
@@ -296,6 +298,14 @@ def test_report_serialization_roundtrip(g64):
     # repr round-trip of the ratio column
     first = lines[1].split(",")
     assert float(first[3]) == rep.samples[0].ratio
+    # the file layout is the dataclasses' own: their fields, in declaration order
+    assert list(doc) == [f.name for f in fields(ConstantReport)]
+    assert all(list(s) == [f.name for f in fields(Sample)] for s in doc["samples"])
+    assert doc == json.loads(json.dumps(asdict(rep)))
+    # an integer quantity stays an integer in the file
+    bnd = json.loads(report_to_json(run_check("boundedness", P, g64, count=3)))
+    counts = [s["quantities"]["n_atoms"] for s in bnd["samples"] if not s["skipped"]]
+    assert counts and all(type(c) is int for c in counts)
 
 
 def test_unknown_check_rejected(g64):
