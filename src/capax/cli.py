@@ -292,8 +292,8 @@ def _verify(cfg: RunConfig) -> list:
     params = cfg.params(grid)
     # the check registry passes each check only the keywords it takes
     kw = {"t": cfg.t, "R": math.inf if cfg.R is None else cfg.R}
-    if cfg.refine:
-        Ns = [int(x) for x in cfg.refine.split(",")]
+    if cfg.refine is not None:
+        Ns = [int(x) for x in cfg.refine.split(",") if x]
         report = refinement_study(cfg.check, params, Ns, cfg.L, cfg.kind,
                                   cfg.seed, cfg.count, cfg.levels, cfg.tol, **kw)
     else:

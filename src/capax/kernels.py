@@ -90,16 +90,17 @@ class KernelTable:
         return padded_spectrum(self.values)
 
     @cached_property
-    def inverse_square_rfft(self) -> np.ndarray | None:
-        """Cached spectrum 1/(h^2n s^2) of K^-2 on the 2N torus, or None.
+    def inverse_square_rfft(self) -> np.ndarray:
+        """Cached spectrum 1/(h^2n s^2) of K~^-2 on the 2N torus.
 
-        s is the real part of `padded_rfft`, so the h^n-weighted operator K has
-        the torus symbol h^n s. None when s has a mode <= 0, as some 3D Riesz
-        tables with alpha near n do. Built only when first used.
+        s is the real part of `padded_rfft`, floored at the magnitude of its
+        least mode; the h^n-weighted operator K has the torus symbol h^n s
+        wherever that symbol is positive. The floor moves only the modes <= 0
+        that some 3D Riesz tables with alpha near n have, and leaves every
+        positive spectrum as it is. Built only when first used.
         """
         symbol = self.padded_rfft.real
-        if np.any(symbol <= 0.0):
-            return None
+        symbol = np.maximum(symbol, abs(symbol.min()))
         return 1.0 / (self.grid.cell_volume * symbol) ** 2
 
     @cached_property

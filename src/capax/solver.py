@@ -23,20 +23,19 @@ as they are.
 Each Newton step solves its system on the free set F. On the dense path,
 when the assembly work grid.size * |F|^2 is at most DIRECT_MAX_WORK and the
 remaining budget is at least |F|, the step assembles the free-set Hessian
-from the dense matrix and solves it directly; otherwise it runs conjugate
-gradients matrix-free. On the FFT path, when the table's torus spectrum is
-positive (`KernelTable.inverse_square_rfft` is not None), CG is preconditioned
-with the opposite-order operator S R_F K~^-2 E_F S (Steinbach-Wendland, Adv.
-Comput. Math. 9, 1998; Hiptmair, Comput. Math. Appl. 52, 2006): E_F extends
-by zero, R_F restricts to F, K~^-2 is one `kernels.torus_convolve` with the
-table's inverse squared spectrum and S = diag(1/sqrt f') on F, with f'
-floored at PREC_FLOOR times its max on F. Otherwise CG runs plain.
+from the dense matrix and solves it directly. Every other step runs
+preconditioned conjugate gradients (PCG) matrix-free, with the
+opposite-order operator S R_F K~^-2 E_F S (Steinbach-Wendland, Adv. Comput.
+Math. 9, 1998; Hiptmair, Comput. Math. Appl. 52, 2006): E_F extends by zero,
+R_F restricts to F, K~^-2 is one `kernels.torus_convolve` with the table's
+`inverse_square_rfft` and S = diag(1/sqrt f') on F, with f' floored at
+PREC_FLOOR times its max on F.
 
 The iteration budget counts every step that applies the operator: the seed
-of the Newton run, each Newton step and each conjugate-gradient step,
-preconditioned or not; the preconditioner applies K~^-2, not K. A direct
-step is charged |F|, about the matrix-vector products its assembly costs,
-which is also the most one CG run may spend.
+of the Newton run, each Newton step and each PCG step; the preconditioner
+applies K~^-2, not K. A direct step is charged |F|, about the
+matrix-vector products its assembly costs, which is also the most one PCG
+run may spend.
 """
 
 from __future__ import annotations
@@ -61,14 +60,15 @@ DENSE_MAX_NODES = 256
 
 # Largest assembly work grid.size * |F|^2 (multiply-adds) at which a Newton
 # step on the dense path solves the assembled free-set Hessian instead of
-# running CG; it admits every free set on 64 nodes. Twelve Choquet sweeps
-# (levels 32, 2-core x86-64, OpenBLAS) against CG alone: at this bound CPU
-# time fell 14-21% on n=1 N=128, 256 and n=2 N=16. At 2^22 wall time fell a
-# further 12-51%, but CPU time rose up to 1.7x, because OpenBLAS ran the
-# larger products on two threads.
+# running PCG; it admits every free set on 64 nodes. Four Choquet sweeps
+# (mixed fields, levels 32, s = 2, 2-core x86-64, OpenBLAS), CPU ms at this
+# bound against PCG alone, best of 3 in each of four rounds: n=1 N=128 42-63
+# vs 55-81, N=256 87-108 vs 79-125, n=2 N=16 103-134 vs 120-189. A bound of
+# 2^22 cut wall time but cost up to 1.7x the CPU time, because OpenBLAS ran
+# the larger products on two threads.
 DIRECT_MAX_WORK = 64**3
 
-# Floor of f' in the CG preconditioner, relative to its max on the free set:
+# Floor of f' in the PCG preconditioner, relative to its max on the free set:
 # it keeps 1/sqrt(f') finite where f' underflows as s -> 1+.
 PREC_FLOOR = 1e-3
 
@@ -146,33 +146,36 @@ def _accepted(best, tol: float) -> bool:
     return best is not None and best[0] <= tol and best[3] <= tol
 
 
-def _newton_ascent(op_apply, dense, k_inv2, b, active, lam0, c, s, b_max, tol, budget):
+def _newton_ascent(table, method, b, active, lam0, s, b_max, tol, budget):
     """Projected semismooth Newton ascent on the Fenchel dual from lam0.
 
-    lam0 is nonnegative and vanishes off the active set {b > 0}.
+    K is `apply_kernel(table, ., method)`. lam0 is nonnegative and vanishes
+    off the active set {b > 0}.
 
     Stationarity gives f(a) = (a_+/(c s))^(1/(s-1)) with a = K lam; the dual
     gradient on the active set is b - K f(a). Multipliers at zero whose
     gradient points outward stay at zero. On the remaining free set F each
     step solves (K diag(f'(a)) K) d = grad and backtracks along the projected
-    step until the ray-optimal dual value rises. When `dense` is the
-    operator's matrix, grid.size * |F|^2 <= DIRECT_MAX_WORK and at least |F|
-    budget steps remain, the system is assembled and solved directly;
-    otherwise, or if it is singular, by conjugate gradients, matrix-free.
-    When `k_inv2` applies K~^-2 (FFT path, positive spectrum), CG is
-    preconditioned with S R_F K~^-2 E_F S (see `_scaled_inverse`); else it
-    runs plain. Every iterate is kept at its optimal ray point, so the dual
-    value the ascent holds for it is its Fenchel dual value; each iterate is
-    certified with that value, as its own multiplier, together with its
-    primal point f(a).
+    step until the ray-optimal dual value rises. When method is "dense",
+    grid.size * |F|^2 <= DIRECT_MAX_WORK and at least |F| budget steps
+    remain, the system is assembled from `table.dense` and solved directly;
+    otherwise, or if it is singular, by PCG, matrix-free, preconditioned with
+    S R_F K~^-2 E_F S (see `_scaled_inverse`). Every iterate is kept at its
+    optimal ray point, so the dual value the ascent holds for it is its
+    Fenchel dual value; each iterate is certified with that value, as its own
+    multiplier, together with its primal point f(a).
 
     Stops once a certificate is accepted, the budget is spent or no ascent
-    step is found. The seed, each Newton step and each CG step, preconditioned
-    or not, count one against the budget, and a direct solve counts |F|.
+    step is found. The seed, each Newton step and each PCG step count one
+    against the budget, and a direct solve counts |F|.
     Returns (best certificate or None, steps used).
     """
+    def op_apply(v):
+        return apply_kernel(table, v, method)
+
     # per-solve constants; the flat indices and take() also serve the FFT
     # path's grid-shaped (2D, 3D) arrays
+    c = table.grid.cell_volume
     act = np.flatnonzero(active)
     b_act = b.take(act)
     inactive = ~active
@@ -197,9 +200,9 @@ def _newton_ascent(op_apply, dense, k_inv2, b, active, lam0, c, s, b_max, tol, b
         steps += 1
         n_free = int(np.count_nonzero(free))
         d = None
-        if (dense is not None and budget - steps >= n_free
+        if (method == "dense" and budget - steps >= n_free
                 and b.size * n_free**2 <= DIRECT_MAX_WORK):
-            d = _direct_step(dense, free, fprime, grad)
+            d = _direct_step(table.dense, free, fprime, grad)
         if d is not None:
             steps += n_free
         else:
@@ -208,11 +211,11 @@ def _newton_ascent(op_apply, dense, k_inv2, b, active, lam0, c, s, b_max, tol, b
                 vv[free] = v
                 return op_apply(fprime * op_apply(vv))[free]
 
-            # in exact arithmetic CG terminates within |F| steps; beyond that
+            # in exact arithmetic PCG terminates within |F| steps; beyond that
             # it only spends budget on rounding noise
-            prec = None if k_inv2 is None else _scaled_inverse(k_inv2, free, fprime)
             d, cg_steps = _cg(hess_mv, grad[free], tol=1e-12,
-                              max_iter=min(budget - steps, n_free), prec=prec)
+                              max_iter=min(budget - steps, n_free),
+                              prec=_scaled_inverse(table, free, fprime))
             steps += cg_steps
         if not d.any():
             break
@@ -250,32 +253,31 @@ def _direct_step(dense, free, fprime, grad):
         return None
 
 
-def _scaled_inverse(k_inv2, free, fprime):
+def _scaled_inverse(table, free, fprime):
     """Preconditioner r -> S R_F K~^-2 E_F S r of the free-set Newton system.
 
+    K~^-2 is one `torus_convolve` with the table's `inverse_square_rfft`.
     S = diag(1/sqrt f') on F, with f' floored at PREC_FLOOR times its max on
-    F; k_inv2 applies K~^-2 to grid values. None when f' vanishes on F.
+    F, or S = I when f' vanishes on all of F.
     """
     fp = fprime[free]
     floor = PREC_FLOOR * float(fp.max())
-    if floor <= 0.0:
-        return None
-    scale = 1.0 / np.sqrt(np.maximum(fp, floor))
+    scale = 1.0 / np.sqrt(np.maximum(fp, floor)) if floor > 0.0 else 1.0
+    spectrum = table.inverse_square_rfft
 
     def prec(r):
         v = np.zeros(free.shape)
         v[free] = scale * r
-        return scale * k_inv2(v)[free]
+        return scale * torus_convolve(v, spectrum)[free]
 
     return prec
 
 
-def _cg(mv, rhs, tol, max_iter, prec=None):
-    """Conjugate gradients from zero; returns (solution, iterations).
+def _cg(mv, rhs, tol, max_iter, prec):
+    """Preconditioned conjugate gradients from zero; returns (solution, iterations).
 
-    `prec` applies a symmetric positive definite preconditioner; None runs
-    plain CG. Either way the run stops once the residual norm is at most
-    tol times the norm of rhs.
+    `prec` applies a symmetric positive definite preconditioner. The run
+    stops once the residual norm is at most tol times the norm of rhs.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -283,7 +285,7 @@ def _cg(mv, rhs, tol, max_iter, prec=None):
     if rs == 0.0:
         return x, 0
     rhs_norm = math.sqrt(rs)
-    z = r if prec is None else prec(r)
+    z = prec(r)
     rz = float(r @ z)
     p = z.copy()
     k = 0
@@ -298,7 +300,7 @@ def _cg(mv, rhs, tol, max_iter, prec=None):
         r -= a * Ap
         if math.sqrt(float(r @ r)) <= tol * rhs_norm:
             break
-        z = r if prec is None else prec(r)
+        z = prec(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -320,7 +322,7 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
     A result is accepted only on its certificates: gap <= tol * max(value, 1)
     between the value at an exactly rescaled feasible point and a Fenchel dual
     bound, and feasibility residual <= tol. `max_iter` bounds the operator-
-    applying steps (the Newton seed, Newton steps and CG steps, with a direct
+    applying steps (the Newton seed, Newton steps and PCG steps, with a direct
     free-set solve on grids of at most DENSE_MAX_NODES nodes counted as |F|
     steps), which are reported as `iterations`. On budget exhaustion, or when
     no ascent step is found, the best certified feasible value is returned
@@ -340,29 +342,15 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
     if b_max == 0.0:   # {b > 0} is empty
         return ProgramResult(np.zeros(grid.shape), 0.0, 0.0, 0.0, 0.0, 0, True)
 
-    c = grid.cell_volume
     active = b > 0
-
     method = "dense" if grid.size <= DENSE_MAX_NODES else "fast"
-
-    def op(v):
-        return apply_kernel(table, v, method)
-
-    dense = k_inv2 = None
-    if method == "dense":
-        dense = table.dense
-    elif table.inverse_square_rfft is not None:
-        def k_inv2(v):
-            return torus_convolve(v, table.inverse_square_rfft)
-
     lam = b
     if warm is not None:
         seed = np.where(active, np.asarray(warm, dtype=float), 0.0)
         np.maximum(seed, 0.0, out=seed)
         if (seed > 0.0).any():
             lam = seed
-    best, iterations = _newton_ascent(op, dense, k_inv2, b, active, lam, c, s, b_max, tol,
-                                      max_iter)
+    best, iterations = _newton_ascent(table, method, b, active, lam, s, b_max, tol, max_iter)
 
     if best is None:
         return ProgramResult(np.zeros(grid.shape), 0.0, 1.0, math.inf, 0.0, iterations, False)

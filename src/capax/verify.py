@@ -486,6 +486,8 @@ def refinement_study(name: str, params: Params, Ns, half_width: float = 1.0,
                      count: int = 8, levels: int = 32, tol: float = 1e-6,
                      **kw) -> ConstantReport:
     """Run the named check across grid sizes; refinement rows are (N, max_ratio)."""
+    if not Ns:
+        raise ValueError("a refinement study needs at least one grid size")
     dim = params.n
     rows = []
     last = None

@@ -182,6 +182,7 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     assert run_cli("capacity", "--n", "1", "--N", "32") == 1           # no set
     assert run_cli("capacity", "--set", "blob:1", "--N", "32") == 1    # bad spec
     assert run_cli("verify", "--N", "32") == 1                         # no check
+    assert run_cli("verify", "--check", "ibp", "--refine", "") == 1    # no grid size
     assert run_cli("norm", "--norm", "m", "--N", "32") == 1            # no input
     assert run_cli("capacity", "--set", "ball:0.2", "--alpha", "0.9") == 1  # bad params
     assert run_cli("report", "--input", str(tmp_path / "missing.json")) == 1

@@ -6,7 +6,7 @@ import pytest
 import capax.solver as solver
 from capax.capacity import capacity
 from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
-from capax.kernels import apply_kernel, kernel_table, riesz_kernel_table
+from capax.kernels import apply_kernel, kernel_table, riesz_kernel_table, torus_convolve
 from capax.potentials import potential
 
 
@@ -78,14 +78,16 @@ def _forbid_cg(*args, **kwargs):
 
 
 def _recording_cg(monkeypatch, drop_prec=False):
-    # records (max_iter, preconditioned, steps) of every CG run; drop_prec
-    # runs each one as plain CG
+    # records (max_iter, preconditioned, steps) of every CG run, where
+    # preconditioned means the solver's preconditioner moves the right-hand
+    # side; drop_prec runs each one with the identity preconditioner
     runs = []
     orig = solver._cg
 
-    def recording(mv, rhs, tol, max_iter, prec=None):
-        x, k = orig(mv, rhs, tol, max_iter, None if drop_prec else prec)
-        runs.append((max_iter, prec is not None, k))
+    def recording(mv, rhs, tol, max_iter, prec):
+        pre = not np.array_equal(prec(rhs), rhs)
+        x, k = orig(mv, rhs, tol, max_iter, (lambda r: r) if drop_prec else prec)
+        runs.append((max_iter, pre, k))
         return x, k
 
     monkeypatch.setattr(solver, "_cg", recording)
@@ -128,7 +130,7 @@ def test_cg_without_preconditioner_is_plain_cg(rng):
     A = _spd(12, rng)
     rhs = rng.standard_normal(12)
     for max_iter in range(1, 13):
-        x, k = solver._cg(lambda v: A @ v, rhs, 1e-12, max_iter)
+        x, k = solver._cg(lambda v: A @ v, rhs, 1e-12, max_iter, lambda r: r)
         x_ref, k_ref = _plain_cg(lambda v: A @ v, rhs, 1e-12, max_iter)
         assert k == k_ref and np.array_equal(x, x_ref)
 
@@ -161,18 +163,36 @@ def test_fft_newton_step_is_preconditioned(monkeypatch):
     assert _agree(res.value, plain.value, tol)
 
 
-@pytest.mark.parametrize("alpha,preconditioned", [(0.95 * 3 / 1.05, False), (1.0, True)])
-def test_3d_preconditioner_needs_positive_spectrum(alpha, preconditioned, monkeypatch):
-    # at alpha = 0.95 n/s the 3D Riesz table's torus spectrum has modes <= 0,
-    # so K~^-2 does not exist there and every CG run is plain
+@pytest.mark.parametrize("alpha,positive", [(0.95 * 3 / 1.05, False), (1.0, True)])
+def test_3d_preconditioner_floors_nonpositive_spectrum(alpha, positive, monkeypatch):
+    # at alpha = 0.95 n/s the 3D Riesz table's torus spectrum has modes <= 0;
+    # floored at the magnitude of the least mode, K~^-2 still preconditions
+    # every CG run, and on a positive spectrum the floor changes nothing
     tol = 1e-6
     g = Grid(3, 1.0, 8)
-    assert (riesz_kernel_table(g, alpha).inverse_square_rfft is not None) == preconditioned
+    table = riesz_kernel_table(g, alpha)
+    assert bool((table.padded_rfft.real > 0.0).all()) == positive
+    inv = table.inverse_square_rfft
+    assert np.all(np.isfinite(inv)) and np.all(inv > 0.0)
+    if positive:
+        assert np.array_equal(inv, 1.0 / (g.cell_volume * table.padded_rfft.real) ** 2)
     runs = _recording_cg(monkeypatch)
     res = capacity(ball_mask(g, 0.7), Params(3, alpha, 1.05), "riesz", tol=tol)
-    assert runs and all(pre == preconditioned for _, pre, _ in runs)
+    assert runs and all(pre for _, pre, _ in runs)
     assert res.converged
     assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+
+
+def test_scaled_inverse_without_scaling_where_fprime_vanishes():
+    # f' = 0 on all of F leaves S = I: the preconditioner is R_F K~^-2 E_F
+    g = Grid(1, 1.0, 64)
+    table = riesz_kernel_table(g, 0.4)
+    free = ball_mask(g, 0.3).members
+    r = np.random.default_rng(5).standard_normal(int(free.sum()))
+    prec = solver._scaled_inverse(table, free, np.zeros(g.shape))
+    v = np.zeros(g.shape)
+    v[free] = r
+    assert np.array_equal(prec(r), torus_convolve(v, table.inverse_square_rfft)[free])
 
 
 @pytest.mark.parametrize("kind", ["riesz", "bessel"])
@@ -203,11 +223,37 @@ def test_cg_step_beyond_direct_work_bound(monkeypatch):
     g = Grid(2, 1.0, 16)
     E = ball_mask(g, 0.6)
     assert g.size * E.members.sum() ** 2 > solver.DIRECT_MAX_WORK
-    runs = _recording_cg(monkeypatch)
-    res = capacity(E, Params(2, 0.5, 2.0), "riesz", tol=tol)
-    assert runs
+    with monkeypatch.context() as m:
+        runs = _recording_cg(m)
+        res = capacity(E, Params(2, 0.5, 2.0), "riesz", tol=tol)
+    assert runs and all(pre for _, pre, _ in runs)
     assert res.converged
     assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    # on 256 nodes in 1D, Bessel s = 1.5, K~^-2 cut the steps of balls 0.3
+    # and 0.6 from 278 with the identity preconditioner to 57
+    g = Grid(1, 1.0, 256)
+    P = Params(1, 0.4, 1.5)
+    steps = plain_steps = 0
+    for r in (0.3, 0.6):
+        E = ball_mask(g, r)
+        assert g.size * E.members.sum() ** 2 > solver.DIRECT_MAX_WORK
+        with monkeypatch.context() as m:
+            runs = _recording_cg(m)
+            res = capacity(E, P, "bessel", tol=tol)
+        assert runs and all(pre for _, pre, _ in runs)
+        assert res.converged
+        assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "DENSE_MAX_NODES", 0)
+            fft = capacity(E, P, "bessel", tol=tol)
+        assert fft.converged and _agree(res.value, fft.value, tol)
+        with monkeypatch.context() as m:
+            _recording_cg(m, drop_prec=True)
+            plain = capacity(E, P, "bessel", tol=tol)
+        assert plain.converged and _agree(res.value, plain.value, tol)
+        steps += res.iterations
+        plain_steps += plain.iterations
+    assert steps < plain_steps
 
 
 def test_cg_step_when_budget_below_free_set(monkeypatch):

@@ -281,6 +281,8 @@ def test_refinement_study_rows():
     rep = refinement_study("ibp", P, (32, 64), kind="riesz", count=3, t=2.0)
     assert [n for n, _ in rep.refinement] == [32, 64]
     assert all(math.isfinite(r) for _, r in rep.refinement)
+    with pytest.raises(ValueError, match="at least one grid size"):
+        refinement_study("ibp", P, [], t=2.0)
 
 
 def test_report_serialization_roundtrip(g64):
