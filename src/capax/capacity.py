@@ -1,15 +1,18 @@
 """Set capacities, Choquet integrals, weighted quasi-norms, and the obstacle norm.
 
-Every obstacle solve in the library goes through `_solve`. Inside a solve
-scope (`solve_scope`, or a function decorated with `scoped`) `_solve` keeps a
-memo, so each distinct obstacle program is solved once per scope: Choquet
-sweeps of different fields often share superlevel sets, and the evaluators
-in `spaces` rebuild the same witnesses. The outermost public entry points
-open the scope: the six `spaces` evaluators, `verify`'s checks and
-`run_check`, and `cli.run`; nested calls join the open scope and the memo is
-dropped when the outermost call returns, so results stay a pure function of
-the call's inputs. Outside a scope nothing is memoized. The scope also
-counts real solves, memo hits and solves that did not converge.
+Every obstacle solve in the library goes through `_solve`, one obstacle or
+a stack of them at a time: a Choquet sweep sends the support and all its
+sampled superlevel sets in one stack. Inside a solve scope (`solve_scope`,
+or a function decorated with `scoped`) `_solve` keeps a memo with one entry
+per obstacle row, so each distinct obstacle program is solved once per
+scope: Choquet sweeps of different fields often share superlevel sets, and
+the evaluators in `spaces` rebuild the same witnesses. The outermost public
+entry points open the scope: the six `spaces` evaluators, `verify`'s checks
+and `run_check`, and `cli.run`; nested calls join the open scope and the
+memo is dropped when the outermost call returns, so results stay a pure
+function of the call's inputs. Outside a scope nothing is memoized. The
+scope also counts, row by row, real solves, memo hits and solves that did
+not converge.
 """
 
 from __future__ import annotations
@@ -95,10 +98,10 @@ def _zero_estimate(grid) -> NormEstimate:
 class SolveScope:
     """Memo and solver counters of one solve scope."""
 
-    memo: dict = dataclass_field(default_factory=dict)
-    solves: int = 0          # calls that reached obstacle_program
-    memo_hits: int = 0
-    nonconverged: int = 0    # real solves that did not converge
+    memo: dict = dataclass_field(default_factory=dict)   # key prefix -> {row bytes: result}
+    solves: int = 0          # obstacle rows that reached obstacle_program
+    memo_hits: int = 0       # obstacle rows answered from the memo
+    nonconverged: int = 0    # solved rows that did not converge
 
     def counts(self) -> dict:
         return {"solves": self.solves, "memo_hits": self.memo_hits,
@@ -137,15 +140,20 @@ def scoped(fn):
 
 
 def _solve(params: Params, grid, obstacle, kind: str, tol: float,
-           max_iter: int = MAX_ITER, warm=None) -> ProgramResult:
+           max_iter: int = MAX_ITER, warm=None) -> ProgramResult | list[ProgramResult]:
     """Solve the obstacle program of `obstacle` on the (grid, alpha, kind) table.
 
-    Inside a solve scope the result is memoized under (grid, alpha, kind, s,
-    tol, max_iter, obstacle bytes as contiguous float64); the warm start is
-    not part of the key, so a repeated obstacle returns the first solve's
-    result whatever its warm start. Only converged results are stored, and a
-    stored result's arrays are read-only. A miss calls `obstacle_program`
-    through this module's binding. Outside a scope every call solves.
+    `obstacle` and `warm` are as in `obstacle_program`: grid-shaped, giving
+    one ProgramResult, or a stack of rows, giving a list. Inside a solve
+    scope each row is memoized under the key prefix (grid, alpha, kind, s,
+    tol, max_iter), built once per call, and the row's bytes as contiguous
+    float64; the warm start is not part of the key, so a repeated obstacle
+    returns the first solve's result whatever its warm start. The rows found
+    in the memo, and the repeats of a row within the stack, count as memo
+    hits and are not solved again; the rest go to `obstacle_program`,
+    through this module's binding, in one call (a grid-shaped obstacle goes
+    grid-shaped). Only converged results are stored, and a stored result's
+    arrays are read-only. Outside a scope every row solves.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -157,22 +165,39 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float,
     if scope is None:
         return obstacle_program(table, obstacle, params.s, tol=tol, max_iter=max_iter,
                                 warm=warm)
-    key = (grid, params.alpha, kind, params.s, tol, max_iter,
-           np.ascontiguousarray(obstacle, dtype=float).tobytes())
-    res = scope.memo.get(key)
-    if res is not None:
-        scope.memo_hits += 1
-        return res
-    res = obstacle_program(table, obstacle, params.s, tol=tol, max_iter=max_iter, warm=warm)
-    scope.solves += 1
-    if not res.converged:
-        scope.nonconverged += 1
-        return res
-    for arr in (res.extremal, res.multiplier):
-        if arr is not None:
-            arr.setflags(write=False)
-    scope.memo[key] = res
-    return res
+    single = obstacle.shape == grid.shape
+    rows = np.ascontiguousarray(obstacle, dtype=float)
+    warms = None if warm is None else np.asarray(warm, dtype=float)
+    if single:
+        rows, warms = rows[None], None if warm is None else warms[None]
+    prefix = (grid, params.alpha, kind, params.s, tol, max_iter)
+    memo = scope.memo.get(prefix, {})
+    keys = [row.tobytes() for row in rows]
+    todo = {}   # key -> the first row that needs it solved
+    for i, key in enumerate(keys):
+        if key not in memo:
+            todo.setdefault(key, i)
+    scope.memo_hits += len(keys) - len(todo)
+    found = {}
+    if todo:
+        # a single obstacle goes to the solver grid-shaped and comes back alone
+        pick = 0 if single else list(todo.values())
+        solved = obstacle_program(table, rows[pick], params.s, tol=tol, max_iter=max_iter,
+                                  warm=None if warms is None else warms[pick])
+        found = dict(zip(todo, [solved] if single else solved))
+        scope.solves += len(todo)
+        for key, res in found.items():
+            if not res.converged:
+                scope.nonconverged += 1
+                continue
+            for arr in (res.extremal, res.multiplier):
+                if arr is not None:
+                    arr.setflags(write=False)
+            memo[key] = res
+        if memo:
+            scope.memo[prefix] = memo
+    results = [found[key] if key in found else memo[key] for key in keys]
+    return results[0] if single else results
 
 
 def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
@@ -202,10 +227,10 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
                      tol: float = 1e-6) -> float:
     """Layer-cake integral of g >= 0 against the capacity of its superlevel sets.
 
-    Levels are log-spaced over (min positive value, max value]; each level's
-    solve is seeded with the multiplier of the last converged solve along the
-    nested superlevel chain (cold if there is none), and the flat piece below
-    the smallest positive value uses the capacity of the support exactly.
+    Levels are log-spaced over (min positive value, max value], and the flat
+    piece below the smallest positive value uses the capacity of the support
+    exactly. The support and every sampled superlevel set are solved as one
+    stack, each row cold from its own obstacle (no row seeds another).
     """
     if levels < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
@@ -219,11 +244,6 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
     support = vals > 0
     pos_min = float(np.min(vals[support]))
 
-    res_support = _solve(params, grid, support.astype(float), kind, tol)
-    total = pos_min * res_support.value
-    if vmax <= pos_min * (1 + 1e-14):
-        return total
-
     # The superlevel capacity is a step function jumping exactly at the distinct
     # node values, so the discrete layer cake is a finite sum of steps. Levels
     # are snapped to those breakpoints (log-spaced selection); capacities at
@@ -231,8 +251,8 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
     # nested superlevel chain, where the capacity varies smoothly.
     distinct = np.unique(vals[support])
     breaks = distinct[:-1]  # cap({v > vmax}) = 0 contributes nothing
-    if breaks.size == 0:
-        return total
+    if vmax <= pos_min * (1 + 1e-14):
+        breaks = breaks[:0]   # flat: the support alone carries the integral
     if breaks.size <= levels:
         idx = np.arange(breaks.size)
     else:
@@ -244,17 +264,14 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
                                 0, breaks.size - 1))
         idx[-1] = breaks.size - 1
 
-    caps_sampled = np.zeros(idx.size)
-    # an unconverged multiplier carries no certificate and can be a worse
-    # seed than the obstacle itself, so only converged solves seed
-    warm = res_support.multiplier if res_support.converged else None
-    for k, j in enumerate(idx):
-        mask = vals > breaks[j]
-        res = _solve(params, grid, mask.astype(float), kind, tol, warm=warm)
-        caps_sampled[k] = res.value
-        if res.converged:
-            warm = res.multiplier
-
+    sets = np.empty((1 + idx.size,) + grid.shape)
+    sets[0] = support
+    sets[1:] = vals > breaks[idx].reshape((-1,) + (1,) * grid.dim)
+    results = _solve(params, grid, sets, kind, tol)
+    total = pos_min * results[0].value
+    if not idx.size:
+        return total
+    caps_sampled = np.array([res.value for res in results[1:]])
     if idx.size == breaks.size:
         caps = caps_sampled
     else:

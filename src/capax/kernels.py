@@ -15,7 +15,8 @@ FFT; `torus_convolve` pads the values to 2N, multiplies by a spectrum,
 transforms back and slices to the grid. `apply_kernel` is the h^n-weighted
 operator K: the torus product with the table's cached spectrum, multiplied by
 h^n after the slice, or the table's cached dense matrix, which carries h^n in
-its entries.
+its entries. Both act on the trailing grid axes, so a stack of grid values
+along leading axes is transformed in one call, each row as on its own.
 """
 
 from __future__ import annotations
@@ -192,29 +193,54 @@ def padded_spectrum(centered: np.ndarray) -> np.ndarray:
 
 def torus_convolve(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """Linear convolution of grid values with the table whose `padded_spectrum`
-    is `spectrum`: zero-pad to 2N, multiply, inverse FFT, slice to the grid."""
-    N = values.shape[0]
-    dim = values.ndim
+    is `spectrum`: zero-pad to 2N, multiply, inverse FFT, slice to the grid.
+
+    The transforms run over the trailing spectrum.ndim axes of `values`; any
+    leading axes index a stack, and each row comes out bit for bit as it
+    would alone."""
+    N = values.shape[-1]
+    dim = spectrum.ndim
     padded_shape = (2 * N,) * dim
-    axes = tuple(range(dim))
+    axes = tuple(range(values.ndim - dim, values.ndim))
     f_hat = np.fft.rfftn(values, s=padded_shape, axes=axes)
     full = np.fft.irfftn(f_hat * spectrum, s=padded_shape, axes=axes)
-    return full[(slice(0, N),) * dim].copy()
+    return full[(Ellipsis,) + (slice(0, N),) * dim].copy()
+
+
+# Most multiply-adds of one product on the dense path; a larger stack is
+# applied in chunks of rows. OpenBLAS ran larger products on a second thread
+# (2-core x86-64, OpenBLAS 0.3.31, fresh process: (L, m) x (m, m) products at
+# m=128, L=33 and m=256, L=8 took 2.0x their wall time in CPU time, and at
+# m=64, L=33 and m=128, L=8 1.0x), and on a loaded machine such a product
+# sometimes stalled for milliseconds.
+DENSE_BATCH_WORK = 2**18 - 1
 
 
 def apply_kernel(table: KernelTable, values: np.ndarray, method: str = "fast") -> np.ndarray:
     """h^n-weighted linear convolution of grid values with a kernel table.
 
-    Methods: "fast" is the torus product with the table's cached spectrum;
-    "dense" multiplies by the table's cached operator matrix, which is quicker
-    on small grids. The potentials use "fast" on every grid: the dense product
-    rounds differently, and the Choquet integral of a potential is sensitive
-    to rounding-level ties between its node values.
+    `values` is grid-shaped, or a stack of grid-shaped rows along leading
+    axes. Methods: "fast" is the torus product with the table's cached
+    spectrum, bit for bit the same on each row of a stack as alone; "dense"
+    multiplies by the table's cached operator matrix, which is quicker on
+    small grids, and on a stack of several rows rounds in its own order. The
+    potentials use "fast" on every grid: the dense product rounds
+    differently, and the Choquet integral of a potential is sensitive to
+    rounding-level ties between its node values.
     """
-    if values.shape != table.grid.shape:
+    grid = table.grid
+    if values.shape[-grid.dim:] != grid.shape:
         raise ValueError("incompatible grids: field shape does not match kernel table")
     if method == "dense":
-        return (table.dense @ values.ravel()).reshape(values.shape)
+        # x^T K^T per row; on one row this is the matrix-vector product K x
+        rows = values.reshape(-1, grid.size)
+        chunk = max(1, DENSE_BATCH_WORK // grid.size**2)
+        if len(rows) <= chunk:
+            return (rows @ table.dense.T).reshape(values.shape)
+        out = np.empty(rows.shape)
+        for i in range(0, len(rows), chunk):
+            np.matmul(rows[i:i + chunk], table.dense.T, out=out[i:i + chunk])
+        return out.reshape(values.shape)
     if method != "fast":
         raise ValueError(f"method must be 'fast' or 'dense', got {method!r}")
-    return torus_convolve(values, table.padded_rfft) * table.grid.cell_volume
+    return torus_convolve(values, table.padded_rfft) * grid.cell_volume

@@ -158,25 +158,35 @@ def test_choquet_level_doubling(params):
     assert abs(c96 / c48 - 1) <= 0.005
 
 
-def test_choquet_seeds_only_from_converged_solves(g64, params, monkeypatch):
+def test_choquet_solves_one_cold_stack(g64, params, monkeypatch):
+    # one solver call per sweep, whose rows are the support and the sampled
+    # superlevel sets, all cold; a row that does not converge is counted and
+    # not memoized, while the other rows are
     mod = sys.modules["capax.capacity"]     # the package attribute is the function
     orig = mod.obstacle_program
-    seeds, results = [], []
+    calls = []
 
     def second_unconverged(table, obstacle, s, warm=None, **kw):
-        seeds.append(warm)
-        res = orig(table, obstacle, s, warm=warm, **kw)
-        if len(results) == 1:
-            res = dataclasses.replace(res, converged=False)
-        results.append(res)
-        return res
+        calls.append((np.array(obstacle), warm))
+        results = orig(table, obstacle, s, warm=warm, **kw)
+        results[1] = dataclasses.replace(results[1], converged=False)
+        return results
 
     monkeypatch.setattr(mod, "obstacle_program", second_unconverged)
-    choquet_integral(Field(g64, np.exp(-g64.axis**2 / 0.05), nonneg=True), params, levels=4)
-    assert len(results) == 5 and seeds[0] is None
-    assert seeds[1] is results[0].multiplier
-    assert seeds[2] is results[0].multiplier      # the unconverged solve does not seed
-    assert seeds[3] is results[2].multiplier and seeds[4] is results[3].multiplier
+    u = np.exp(-g64.axis**2 / 0.05)
+    with solve_scope() as scope:
+        choquet_integral(Field(g64, u, nonneg=True), params, levels=4)
+    assert len(calls) == 1
+    sets, warm = calls[0]
+    assert warm is None and sets.shape == (5,) + g64.shape
+    assert np.array_equal(sets[0], u > 0)
+    for above, row in zip(sets, sets[1:]):
+        # each sampled row is {u > t} at a node value t, strictly inside the last
+        assert np.array_equal(row, u > u[row == 0].max())
+        assert row.sum() < above.sum() and np.all(row <= above)
+    assert scope.counts() == {"solves": 5, "memo_hits": 0, "nonconverged": 1}
+    (memo,) = scope.memo.values()
+    assert set(memo) == {row.tobytes() for k, row in enumerate(sets) if k != 1}
 
 
 def test_choquet_monotone(g64, params):
@@ -281,13 +291,14 @@ def test_nonpositive_tol_rejected_on_every_solve_path(g64, params, tol):
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Record every obstacle passed to the capacity module's obstacle_program."""
+    """Record every obstacle row passed to the capacity module's obstacle_program:
+    a grid-shaped obstacle is one row, a stack one row per obstacle."""
     mod = sys.modules["capax.capacity"]     # the package attribute is the function
     orig = mod.obstacle_program
     calls = []
 
     def recording(table, obstacle, s, **kw):
-        calls.append(np.array(obstacle, dtype=float))
+        calls.extend(np.array(obstacle, dtype=float).reshape((-1,) + table.grid.shape))
         return orig(table, obstacle, s, **kw)
 
     monkeypatch.setattr(mod, "obstacle_program", recording)
@@ -303,6 +314,18 @@ def test_memo_solves_repeated_obstacle_once(g64, params, solve_calls):
     assert scope.counts() == {"solves": 2, "memo_hits": 1, "nonconverged": 0}
     assert again.value == first.value
     assert np.array_equal(again.extremal.values, first.extremal.values)
+
+
+def test_memo_works_per_row_of_a_stack(g64, params, solve_calls):
+    # a stack sends only its unsolved rows, each once, to the solver
+    A = ball_mask(g64, 0.25).indicator().values
+    B = ball_mask(g64, 0.1).indicator().values
+    with solve_scope() as scope:
+        first = _solve(params, g64, A, "riesz", 1e-6)
+        stacked = _solve(params, g64, np.stack([B, A, B]), "riesz", 1e-6)
+    assert len(solve_calls) == 2 and np.array_equal(solve_calls[1], B)
+    assert scope.counts() == {"solves": 2, "memo_hits": 2, "nonconverged": 0}
+    assert stacked[1] is first and stacked[0] is stacked[2] and stacked[0].converged
 
 
 def test_memo_does_not_leak_between_calls(g64, params, solve_calls):

@@ -302,6 +302,85 @@ def test_returned_multiplier_is_ray_optimal(n, alpha, method):
     res = solver.obstacle_program(table, b, s)
     assert res.converged
     lam = res.multiplier
-    t, dual = solver._ray(lam, apply_kernel(table, lam, method), b, g.cell_volume, s)
+    (t,), (dual,) = solver._ray(lam.reshape(1, -1), apply_kernel(table, lam, method).reshape(1, -1),
+                                b.reshape(1, -1), g.cell_volume, s)
     assert abs(t - 1.0) <= 1e-12
     assert abs(dual - res.dual_value) <= 1e-12 * abs(res.dual_value)
+
+
+def _nested_sets(g, count):
+    # superlevel sets of a smooth bump's potential, largest first
+    u = potential(Field(g, np.exp(-g.radii**2 / 0.1), nonneg=True), 0.5, "riesz").values
+    return np.stack([(u > q).astype(float) for q in np.quantile(u, np.linspace(0.2, 0.9, count))])
+
+
+@pytest.mark.parametrize("n,N,alpha,s", [(1, 64, 0.4, 2.0), (1, 64, 0.4, 1.5), (2, 32, 0.7, 2.0)])
+def test_stacked_rows_agree_with_single_solves(n, N, alpha, s, monkeypatch):
+    # 64 nodes take the dense path; 1,024 take the FFT path, where each row
+    # runs its own PCG
+    tol = 1e-6
+    g = Grid(n, 1.0, N)
+    table = kernel_table(g, alpha, "riesz")
+    rows = _nested_sets(g, 4)
+    runs = _recording_cg(monkeypatch)
+    stacked = solver.obstacle_program(table, rows, s, tol=tol)
+    assert bool(runs) == (n == 2) and all(pre for _, pre, _ in runs)
+    assert isinstance(stacked, list) and len(stacked) == len(rows)
+    for row, res in zip(rows, stacked):
+        alone = solver.obstacle_program(table, row, s, tol=tol)
+        assert res.converged and alone.converged
+        assert res.extremal.shape == g.shape and res.multiplier.shape == g.shape
+        assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
+        assert _agree(res.value, alone.value, tol)
+
+
+def test_stack_of_one_is_the_single_solve():
+    g = Grid(1, 1.0, 64)
+    table = kernel_table(g, 0.4, "bessel")
+    b = ball_mask(g, 0.3).members.astype(float)
+    warm = np.random.default_rng(2).uniform(0.1, 1.0, g.shape)
+    for seed in (None, warm):
+        single = solver.obstacle_program(table, b, 1.5, warm=seed)
+        (stacked,) = solver.obstacle_program(table, b[None], 1.5,
+                                             warm=None if seed is None else seed[None])
+        for name in ("value", "residual", "gap", "dual_value", "iterations", "converged"):
+            assert getattr(stacked, name) == getattr(single, name)
+        assert np.array_equal(stacked.extremal, single.extremal)
+        assert np.array_equal(stacked.multiplier, single.multiplier)
+
+
+def test_zero_row_of_a_stack_is_the_zero_result():
+    g = Grid(1, 1.0, 64)
+    table = kernel_table(g, 0.4, "riesz")
+    b = ball_mask(g, 0.3).members.astype(float)
+    first, zero, last = solver.obstacle_program(table, np.stack([b, 0.0 * b, b]), 2.0)
+    assert zero.converged and zero.iterations == 0
+    assert (zero.value, zero.residual, zero.gap, zero.dual_value) == (0.0, 0.0, 0.0, 0.0)
+    assert not zero.extremal.any() and zero.extremal.shape == g.shape
+    assert first.converged and last.converged and first.value == last.value
+    assert solver.obstacle_program(table, np.zeros((0,) + g.shape), 2.0) == []
+
+
+def test_row_out_of_budget_leaves_the_others_certified():
+    # at s = 1.5 and tol 1e-8 the balls of 4 and 6 nodes certify within 40
+    # steps, and the ball of 38 nodes runs out of them
+    tol, max_iter = 1e-8, 40
+    g = Grid(1, 1.0, 64)
+    table = kernel_table(g, 0.4, "riesz")
+    rows = np.stack([ball_mask(g, r).members.astype(float) for r in (0.05, 0.1, 0.6)])
+    small, medium, large = solver.obstacle_program(table, rows, 1.5, tol=tol, max_iter=max_iter)
+    assert small.converged and medium.converged and not large.converged
+    assert all(res.iterations <= max_iter for res in (small, medium, large))
+    assert large.iterations == max_iter and large.value > 0 and math.isfinite(large.gap)
+    for row, res in zip(rows[:2], (small, medium)):
+        alone = solver.obstacle_program(table, row, 1.5, tol=tol, max_iter=max_iter)
+        assert alone.converged and _agree(res.value, alone.value, tol)
+
+
+@pytest.mark.parametrize("shape", [(64, 1), (2, 63), (2, 1, 64)])
+def test_obstacle_stack_shape_must_match_grid(shape):
+    table = kernel_table(Grid(1, 1.0, 64), 0.4, "riesz")
+    with pytest.raises(ValueError, match="shape"):
+        solver.obstacle_program(table, np.ones(shape), 2.0)
+    with pytest.raises(ValueError, match="warm"):
+        solver.obstacle_program(table, np.ones((2, 64)), 2.0, warm=np.ones(64))
