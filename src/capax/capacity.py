@@ -1,12 +1,13 @@
 """Set capacities, Choquet integrals, weighted quasi-norms, and the obstacle norm.
 
 Every obstacle solve in the library goes through `_solve`, one obstacle or
-a stack of them at a time: a Choquet sweep sends the support and all its
-sampled superlevel sets in one stack. Inside a solve scope (`solve_scope`,
-or a function decorated with `scoped`) `_solve` keeps a memo with one entry
-per obstacle row, so each distinct obstacle program is solved once per
-scope: Choquet sweeps of different fields often share superlevel sets, and
-the evaluators in `spaces` rebuild the same witnesses. The outermost public
+a stack of them at a time: on grids of at most 64 nodes a Choquet sweep
+sends the support and all its sampled superlevel sets in one stack. Inside
+a solve scope (`solve_scope`, or a function decorated with `scoped`)
+`_solve` keeps a memo with one entry per obstacle row, so each distinct
+obstacle program is solved once per scope: Choquet sweeps of different
+fields often share superlevel sets, and the evaluators in `spaces` rebuild
+the same witnesses. The outermost public
 entry points open the scope: the six `spaces` evaluators, `verify`'s checks
 and `run_check`, and `cli.run`; nested calls join the open scope and the
 memo is dropped when the outermost call returns, so results stay a pure
@@ -27,7 +28,7 @@ import numpy as np
 
 from .grid import Field, Mask, Params
 from .kernels import kernel_table
-from .solver import MAX_ITER, ProgramResult, obstacle_program
+from .solver import DIRECT_MAX_WORK, MAX_ITER, ProgramResult, obstacle_program
 
 __all__ = [
     "CapacityResult",
@@ -229,8 +230,17 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
 
     Levels are log-spaced over (min positive value, max value], and the flat
     piece below the smallest positive value uses the capacity of the support
-    exactly. The support and every sampled superlevel set are solved as one
-    stack, each row cold from its own obstacle (no row seeds another).
+    exactly.
+
+    When every Newton step of the solver is a direct solve (grid.size^3 <=
+    DIRECT_MAX_WORK, at most 64 nodes), the fixed cost of each call sets the
+    cost of a solve, so the support and every sampled superlevel set are
+    solved as one stack, each row cold from its own obstacle; such a stack
+    has at most grid.size rows, so its dense products stay on one BLAS
+    thread. On larger grids each row's PCG runs set the cost, which a stack
+    does not share, and a cold start multiplies their steps as s -> 1+, so
+    the sets are solved one by one along the nested chain, each seeded with
+    the multiplier of the last converged solve (cold if there is none).
     """
     if levels < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
@@ -264,14 +274,25 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
                                 0, breaks.size - 1))
         idx[-1] = breaks.size - 1
 
-    sets = np.empty((1 + idx.size,) + grid.shape)
-    sets[0] = support
-    sets[1:] = vals > breaks[idx].reshape((-1,) + (1,) * grid.dim)
-    results = _solve(params, grid, sets, kind, tol)
-    total = pos_min * results[0].value
+    # the support is {vals > 0}; then every sampled superlevel set, nested
+    thresholds = np.concatenate(([0.0], breaks[idx]))
+    if grid.size**3 <= DIRECT_MAX_WORK:
+        sets = (vals > thresholds.reshape((-1,) + (1,) * grid.dim)).astype(float)
+        values = [res.value for res in _solve(params, grid, sets, kind, tol)]
+    else:
+        values = []
+        warm = None
+        for t in thresholds:
+            res = _solve(params, grid, (vals > t).astype(float), kind, tol, warm=warm)
+            values.append(res.value)
+            # an unconverged multiplier carries no certificate and can be a
+            # worse seed than the obstacle itself, so only converged solves seed
+            if res.converged:
+                warm = res.multiplier
+    total = pos_min * values[0]
     if not idx.size:
         return total
-    caps_sampled = np.array([res.value for res in results[1:]])
+    caps_sampled = np.array(values[1:])
     if idx.size == breaks.size:
         caps = caps_sampled
     else:

@@ -207,15 +207,6 @@ def torus_convolve(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     return full[(Ellipsis,) + (slice(0, N),) * dim].copy()
 
 
-# Most multiply-adds of one product on the dense path; a larger stack is
-# applied in chunks of rows. OpenBLAS ran larger products on a second thread
-# (2-core x86-64, OpenBLAS 0.3.31, fresh process: (L, m) x (m, m) products at
-# m=128, L=33 and m=256, L=8 took 2.0x their wall time in CPU time, and at
-# m=64, L=33 and m=128, L=8 1.0x), and on a loaded machine such a product
-# sometimes stalled for milliseconds.
-DENSE_BATCH_WORK = 2**18 - 1
-
-
 def apply_kernel(table: KernelTable, values: np.ndarray, method: str = "fast") -> np.ndarray:
     """h^n-weighted linear convolution of grid values with a kernel table.
 
@@ -233,14 +224,7 @@ def apply_kernel(table: KernelTable, values: np.ndarray, method: str = "fast") -
         raise ValueError("incompatible grids: field shape does not match kernel table")
     if method == "dense":
         # x^T K^T per row; on one row this is the matrix-vector product K x
-        rows = values.reshape(-1, grid.size)
-        chunk = max(1, DENSE_BATCH_WORK // grid.size**2)
-        if len(rows) <= chunk:
-            return (rows @ table.dense.T).reshape(values.shape)
-        out = np.empty(rows.shape)
-        for i in range(0, len(rows), chunk):
-            np.matmul(rows[i:i + chunk], table.dense.T, out=out[i:i + chunk])
-        return out.reshape(values.shape)
+        return (values.reshape(-1, grid.size) @ table.dense.T).reshape(values.shape)
     if method != "fast":
         raise ValueError(f"method must be 'fast' or 'dense', got {method!r}")
     return torus_convolve(values, table.padded_rfft) * grid.cell_volume

@@ -15,11 +15,13 @@ obstacles, shape (L,) + grid.shape, is L independent programs on one table;
 a single obstacle is the stack of one, so there is one solver path. The
 ascent moves all live rows together: each apply of K (one `apply_kernel`
 call), the ray scalings, the certificates, the gradient, the free sets and
-the line search work on the whole stack, which is what makes a Choquet
-sweep's superlevel sets cheap, since on small grids the fixed cost of each
-call, not its arithmetic, sets the cost of a solve. Each row keeps its own
-budget, best certificate and Newton system, and leaves the batch once it is
-accepted, its budget is spent or it finds no ascent step.
+the line search work on the whole stack. That makes a Choquet sweep's
+superlevel sets cheap where the fixed cost of each call, not its
+arithmetic, sets the cost of a solve: on grids of at most 64 nodes, where
+every Newton step is a direct solve (`capacity.choquet_integral` stacks
+only there). Each row keeps its own budget, best certificate and Newton
+system, and leaves the batch once it is accepted, its budget is spent or it
+finds no ascent step.
 
 The method is a projected semismooth Newton ascent on the dual (a
 primal-dual active-set method in the sense of Hintermueller-Ito-Kunisch,
@@ -114,13 +116,11 @@ def _ray(lam: np.ndarray, a: np.ndarray, b: np.ndarray, c: float, s: float):
     w = np.maximum(a, 0.0)
     w /= c * s
     w_max = w.max(axis=1)
-    w_maxes = w_max.tolist()
-    # a row with a_+ = 0 is divided by 1 and stays 0
-    w /= (w_max if min(w_maxes) > 0.0 else np.where(w_max > 0.0, w_max, 1.0))[:, None]
+    w /= np.where(w_max > 0.0, w_max, 1.0)[:, None]   # a row with a_+ = 0 stays 0
     w **= s / (s - 1.0)
     t = np.array([math.exp((s - 1.0) * math.log(B_i / (c * s * S_i)) - s * math.log(w_i))
                   if w_i > 0.0 and B_i > 0.0 else 0.0
-                  for B_i, S_i, w_i in zip(B.tolist(), w.sum(axis=1).tolist(), w_maxes)])
+                  for B_i, S_i, w_i in zip(B.tolist(), w.sum(axis=1).tolist(), w_max.tolist())])
     return t, t * B / s   # B >= 0, so a row off the ray gets dual value 0.0
 
 
@@ -251,16 +251,13 @@ def _newton_ascent(table, method, b, lam0, s, b_max, tol, budget):
         ok, gap, f, value, residual = _certificates(live.u, live.Ku, live.dual, live.b,
                                                     live.active, c, s, live.b_max)
         better = ok & (gap < live.gap)
-        if better.all():
-            live.gap, live.value, live.residual, live.f = gap, value, residual, f
-            live.cert_dual, live.cert_lam = live.dual, live.lam
-        elif better.any():
-            live.gap, live.value, live.residual, live.cert_dual = (
-                np.where(better, new, old) for new, old in
-                ((gap, live.gap), (value, live.value), (residual, live.residual),
-                 (live.dual, live.cert_dual)))
-            live.f, live.cert_lam = (np.where(better[:, None], new, old) for new, old in
-                                     ((f, live.f), (live.lam, live.cert_lam)))
+        # np.where copies, so the line search may move lam and dual in place
+        live.gap, live.value, live.residual, live.cert_dual = (
+            np.where(better, new, old) for new, old in
+            ((gap, live.gap), (value, live.value), (residual, live.residual),
+             (live.dual, live.cert_dual)))
+        live.f, live.cert_lam = (np.where(better[:, None], new, old) for new, old in
+                                 ((f, live.f), (live.lam, live.cert_lam)))
         # a row whose certificate did not improve was not accepted before
         accepted = better & (gap <= tol) & (residual <= tol)
         if retire(accepted | (live.steps >= budget)):
@@ -292,36 +289,27 @@ def _line_search(op_apply, live, step, searching, c, s):
 
     Trial i takes lam + 2^-i step, projected onto lam >= 0, for i < 25, on
     the rows that have not risen yet. Moves the rows that rise to their new
-    ray-optimal iterate and returns the mask of them over the live rows.
+    ray-optimal iterate, in place, and returns the mask of them over the
+    live rows.
     """
-    lam, a, dual = live.lam, live.a, live.dual
-    improved = np.zeros(len(lam), dtype=bool)
+    improved = np.zeros(len(live.lam), dtype=bool)
     t_step = 1.0
     for _ in range(25):
         if not searching.size:
             break
-        every = searching.size == len(lam)   # then no row has risen yet
-        pick = slice(None) if every else searching
-        lam_try = t_step * step[pick]
-        lam_try += lam[pick]
+        lam_try = t_step * step[searching]
+        lam_try += live.lam[searching]
         np.maximum(lam_try, 0.0, out=lam_try)
         a_try = op_apply(lam_try)
-        t, dual_try = _ray(lam_try, a_try, live.b[pick], c, s)
-        old = dual[pick]
+        t, dual_try = _ray(lam_try, a_try, live.b[searching], c, s)
+        old = live.dual[searching]
         up = (dual_try > old * (1.0 + 1e-15)) | ((old <= 0) & (dual_try > old))
-        if every and up.all():
-            live.lam, live.a, live.dual = t[:, None] * lam_try, t[:, None] * a_try, dual_try
-            return up
-        if lam is live.lam:
-            # write into copies: the best certificates may hold these arrays
-            lam, a, dual = lam.copy(), a.copy(), dual.copy()
         won = searching[up]
-        lam[won], a[won] = t[up, None] * lam_try[up], t[up, None] * a_try[up]
-        dual[won] = dual_try[up]
+        live.lam[won], live.a[won] = t[up, None] * lam_try[up], t[up, None] * a_try[up]
+        live.dual[won] = dual_try[up]
         improved[won] = True
         searching = searching[~up]
         t_step *= 0.5
-    live.lam, live.a, live.dual = lam, a, dual
     return improved
 
 

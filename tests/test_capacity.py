@@ -158,10 +158,34 @@ def test_choquet_level_doubling(params):
     assert abs(c96 / c48 - 1) <= 0.005
 
 
+def test_choquet_seeds_only_from_converged_solves(g2d, monkeypatch):
+    # above 64 nodes (grid.size^3 > DIRECT_MAX_WORK) a sweep solves its sets
+    # one by one along the chain, each seeded by the last converged solve
+    mod = sys.modules["capax.capacity"]     # the package attribute is the function
+    orig = mod.obstacle_program
+    seeds, results = [], []
+
+    def second_unconverged(table, obstacle, s, warm=None, **kw):
+        seeds.append(warm)
+        res = orig(table, obstacle, s, warm=warm, **kw)
+        if len(results) == 1:
+            res = dataclasses.replace(res, converged=False)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(mod, "obstacle_program", second_unconverged)
+    u = np.exp(-g2d.radii**2 / 0.05)
+    choquet_integral(Field(g2d, u, nonneg=True), Params(2, 0.7, 2.0), levels=4)
+    assert len(results) == 5 and seeds[0] is None
+    assert seeds[1] is results[0].multiplier
+    assert seeds[2] is results[0].multiplier      # the unconverged solve does not seed
+    assert seeds[3] is results[2].multiplier and seeds[4] is results[3].multiplier
+
+
 def test_choquet_solves_one_cold_stack(g64, params, monkeypatch):
-    # one solver call per sweep, whose rows are the support and the sampled
-    # superlevel sets, all cold; a row that does not converge is counted and
-    # not memoized, while the other rows are
+    # on at most 64 nodes, one solver call per sweep, whose rows are the
+    # support and the sampled superlevel sets, all cold; a row that does not
+    # converge is counted and not memoized, while the other rows are
     mod = sys.modules["capax.capacity"]     # the package attribute is the function
     orig = mod.obstacle_program
     calls = []
