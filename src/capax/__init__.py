@@ -11,7 +11,7 @@ from .capacity import (CapacityResult, NormEstimate, capacity, choquet_integral,
                        f_norm, lq_cap_norm)
 from .spaces import (WeightWitness, beta_functional, kv_norm, lambda_functional,
                      m_norm, n_norm, otilde_norm)
-from .families import DEFAULT_FAMILY_SEED, family
+from .families import DEFAULT_FAMILY_SEED
 from .verify import ConstantReport, refinement_study, run_check
 
 __all__ = [
@@ -24,6 +24,6 @@ __all__ = [
     "lq_cap_norm",
     "WeightWitness", "beta_functional", "kv_norm", "lambda_functional", "m_norm",
     "n_norm", "otilde_norm",
-    "DEFAULT_FAMILY_SEED", "family",
+    "DEFAULT_FAMILY_SEED",
     "ConstantReport", "refinement_study", "run_check",
 ]

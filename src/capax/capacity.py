@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid import Field, Mask, Params
 from .kernels import kernel_table
-from .solver import DIRECT_MAX_WORK, MAX_ITER, ProgramResult, obstacle_program
+from .solver import DIRECT_MAX_WORK, ProgramResult, obstacle_program
 
 __all__ = [
     "CapacityResult",
@@ -141,20 +141,21 @@ def scoped(fn):
 
 
 def _solve(params: Params, grid, obstacle, kind: str, tol: float,
-           max_iter: int = MAX_ITER, warm=None) -> ProgramResult | list[ProgramResult]:
+           warm=None) -> ProgramResult | list[ProgramResult]:
     """Solve the obstacle program of `obstacle` on the (grid, alpha, kind) table.
 
-    `obstacle` and `warm` are as in `obstacle_program`: grid-shaped, giving
-    one ProgramResult, or a stack of rows, giving a list. Inside a solve
+    `obstacle` is as in `obstacle_program`: grid-shaped, giving one
+    ProgramResult, or a stack of rows, giving a list. `warm`, a grid-shaped
+    multiplier or None, goes to `obstacle_program` as it is. Inside a solve
     scope each row is memoized under the key prefix (grid, alpha, kind, s,
-    tol, max_iter), built once per call, and the row's bytes as contiguous
-    float64; the warm start is not part of the key, so a repeated obstacle
-    returns the first solve's result whatever its warm start. The rows found
-    in the memo, and the repeats of a row within the stack, count as memo
-    hits and are not solved again; the rest go to `obstacle_program`,
-    through this module's binding, in one call (a grid-shaped obstacle goes
-    grid-shaped). Only converged results are stored, and a stored result's
-    arrays are read-only. Outside a scope every row solves.
+    tol), built once per call, and the row's bytes as contiguous float64; the
+    warm start is not part of the key, so a repeated obstacle returns the
+    first solve's result whatever its warm start. The rows found in the memo,
+    and the repeats of a row within the stack, count as memo hits and are not
+    solved again; the rest go to `obstacle_program`, through this module's
+    binding, in one call (a grid-shaped obstacle goes grid-shaped). Only
+    converged results are stored, and a stored result's arrays are
+    read-only. Outside a scope every row solves.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -164,14 +165,12 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float,
     table = kernel_table(grid, params.alpha, kind)
     scope = _SCOPE.get()
     if scope is None:
-        return obstacle_program(table, obstacle, params.s, tol=tol, max_iter=max_iter,
-                                warm=warm)
+        return obstacle_program(table, obstacle, params.s, tol=tol, warm=warm)
     single = obstacle.shape == grid.shape
     rows = np.ascontiguousarray(obstacle, dtype=float)
-    warms = None if warm is None else np.asarray(warm, dtype=float)
     if single:
-        rows, warms = rows[None], None if warm is None else warms[None]
-    prefix = (grid, params.alpha, kind, params.s, tol, max_iter)
+        rows = rows[None]
+    prefix = (grid, params.alpha, kind, params.s, tol)
     memo = scope.memo.get(prefix, {})
     keys = [row.tobytes() for row in rows]
     todo = {}   # key -> the first row that needs it solved
@@ -183,8 +182,7 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float,
     if todo:
         # a single obstacle goes to the solver grid-shaped and comes back alone
         pick = 0 if single else list(todo.values())
-        solved = obstacle_program(table, rows[pick], params.s, tol=tol, max_iter=max_iter,
-                                  warm=None if warms is None else warms[pick])
+        solved = obstacle_program(table, rows[pick], params.s, tol=tol, warm=warm)
         found = dict(zip(todo, [solved] if single else solved))
         scope.solves += len(todo)
         for key, res in found.items():
@@ -202,7 +200,7 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float,
 
 
 def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
-             max_iter: int = MAX_ITER, warm: CapacityResult | None = None) -> CapacityResult:
+             warm: CapacityResult | None = None) -> CapacityResult:
     """Variational capacity of the node set E for the selected kernel.
 
     Minimizes the s-th power integral of f >= 0 subject to the potential of f
@@ -211,7 +209,7 @@ def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
     `warm` result seeds the solve with its `dual` multiplier.
     """
     grid = E.grid
-    res = _solve(params, grid, E.indicator().values, kind, tol, max_iter,
+    res = _solve(params, grid, E.indicator().values, kind, tol,
                  None if warm is None else warm.dual)
     return CapacityResult(
         value=res.value,
@@ -293,12 +291,9 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
     if not idx.size:
         return total
     caps_sampled = np.array(values[1:])
-    if idx.size == breaks.size:
-        caps = caps_sampled
-    else:
-        caps = np.exp(np.interp(np.log(breaks), np.log(breaks[idx]),
-                                np.log(np.maximum(caps_sampled, 1e-300))))
-        caps[idx] = caps_sampled
+    caps = np.exp(np.interp(np.log(breaks), np.log(breaks[idx]),
+                            np.log(np.maximum(caps_sampled, 1e-300))))
+    caps[idx] = caps_sampled
     total += float(np.sum(caps * np.diff(distinct)))
     return total
 

@@ -328,10 +328,12 @@ _COMMANDS = {"capacity": _capacity, "potential": _potential, "wolff": _wolff,
 
 # -- norms: each maps (field, params, cfg) to a summary line and a serializer -
 
-def _estimate(evaluator):
-    """A `_NORMS` entry for an evaluator returning a two-sided NormEstimate."""
+def _estimate(evaluator, takes_levels: bool = True):
+    """A `_NORMS` entry for an evaluator returning a two-sided NormEstimate;
+    --levels goes to every evaluator that takes it."""
     def norm(f: Field, params: Params, cfg: RunConfig) -> tuple:
-        est = evaluator(f, params, cfg.kind, tol=cfg.tol)
+        levels = {"levels": cfg.levels} if takes_levels else {}
+        est = evaluator(f, params, cfg.kind, tol=cfg.tol, **levels)
         return (f"{cfg.norm} norm: lower={est.lower:.10g} upper={est.upper:.10g} "
                 f"flags={list(est.flags)}", est.to_json)
     return norm
@@ -345,7 +347,7 @@ def _lqcap(f: Field, params: Params, cfg: RunConfig) -> tuple:
 
 
 _NORMS = {"m": _estimate(m_norm), "otilde": _estimate(otilde_norm), "kv": _estimate(kv_norm),
-          "n": _estimate(n_norm), "f": _estimate(f_norm), "lqcap": _lqcap,
+          "n": _estimate(n_norm), "f": _estimate(f_norm, takes_levels=False), "lqcap": _lqcap,
           "lambda": _estimate(lambda_functional), "beta": _estimate(beta_functional)}
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from .grid import Field, Grid, ball_mask
 from .potentials import Measure
 
-__all__ = ["DEFAULT_FAMILY_SEED", "field_family", "measure_family", "family"]
+__all__ = ["DEFAULT_FAMILY_SEED", "field_family", "measure_family"]
 
 DEFAULT_FAMILY_SEED = 271828
 
@@ -115,11 +115,3 @@ def measure_family(name: str, seed: int, count: int, grid: Grid) -> list:
     rng = np.random.default_rng(seed)
     return [sample(grid, rng, i) for i in range(count)]
 
-
-def family(name: str, seed: int, count: int, grid: Grid) -> list:
-    """Dispatch to the named family; returns Fields or Measures."""
-    if name in _FIELD_FAMILIES:
-        return field_family(name, seed, count, grid)
-    if name in _MEASURE_FAMILIES:
-        return measure_family(name, seed, count, grid)
-    raise ValueError(f"unknown family {name!r}; known: {(*_FIELD_FAMILIES, *_MEASURE_FAMILIES)}")

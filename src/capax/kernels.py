@@ -197,14 +197,14 @@ def torus_convolve(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
     The transforms run over the trailing spectrum.ndim axes of `values`; any
     leading axes index a stack, and each row comes out bit for bit as it
-    would alone."""
+    would alone. The result is a view into the padded transform, not a copy."""
     N = values.shape[-1]
     dim = spectrum.ndim
     padded_shape = (2 * N,) * dim
     axes = tuple(range(values.ndim - dim, values.ndim))
     f_hat = np.fft.rfftn(values, s=padded_shape, axes=axes)
     full = np.fft.irfftn(f_hat * spectrum, s=padded_shape, axes=axes)
-    return full[(Ellipsis,) + (slice(0, N),) * dim].copy()
+    return full[(Ellipsis,) + (slice(0, N),) * dim]
 
 
 def apply_kernel(table: KernelTable, values: np.ndarray, method: str = "fast") -> np.ndarray:

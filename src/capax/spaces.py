@@ -22,12 +22,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# the Wolff potential and the maximal function are called through their
+# modules, whose attributes perfbench's tracer patches to count the calls
+from . import maximal, potentials
 from .capacity import (NormEstimate, choquet_integral, lq_cap_norm, scoped, _solve,
                        _zero_estimate)
 from .families import DEFAULT_FAMILY_SEED, field_family
 from .grid import Field, Grid, Params, integrate, lp_norm
 from .maximal import a1_constant
-from .potentials import potential
+from .potentials import Measure, potential
 
 __all__ = [
     "WeightWitness",
@@ -43,6 +46,9 @@ __all__ = [
 # a reweighting round that lowers the upper bound by less than this relative
 # amount ends the loop: otilde_norm keeps that gain, n_norm rejects it
 _REWEIGHT_STOP = 1e-4
+# projected descent steps of kv_norm, and reweighting rounds of n_norm
+_KV_DESCENT_STEPS = 6
+_N_ROUNDS = 3
 
 
 @dataclass
@@ -176,11 +182,8 @@ def m_norm(f: Field, params: Params, kind: str = "riesz", budget: int = 32,
             upper = ratio ** (1.0 / p)
             details = {"cube_size": cube_size}
         else:
-            # import at call time: perfbench counts calls by patching this module binding
-            from .potentials import Measure, wolff_potential
-
             mu = Measure.from_density(Field(grid, f_pow, nonneg=True))
-            w = wolff_potential(mu, params.alpha, s).values
+            w = potentials.wolff_potential(mu, params.alpha, s).values
             kappa_exp = (s - 1.0) * r / (s - r)
             integral = integrate(Field(grid, w**kappa_exp * f_pow))
             upper = integral ** ((s - r) / (s * p))
@@ -208,8 +211,7 @@ def _otilde_objective(g_abs: np.ndarray, w: np.ndarray, q: float, s: float,
 
 @scoped
 def otilde_norm(g: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
-                levels: int = 32, max_rounds: int = 4,
-                extra_witnesses: tuple = ()) -> NormEstimate:
+                levels: int = 32, max_rounds: int = 4) -> NormEstimate:
     """Infimum over unit-L^q(cap) weights w of the w-weighted s-integral of g.
 
     The witness is iterated from the constructive proof: the extremal phi of
@@ -224,8 +226,8 @@ def otilde_norm(g: Field, params: Params, kind: str = "riesz", tol: float = 1e-6
     def unit(ghat, scale):
         nq0 = lq_cap_norm(Field(grid, ghat, nonneg=True), q, params, kind, levels=levels,
                           tol=tol)
-        best_w, upper = _best([ghat / nq0, *(extra.values for extra in extra_witnesses)],
-                              lambda w: _otilde_objective(ghat, w, q, s, cell))
+        best_w = ghat / nq0
+        upper = _otilde_objective(ghat, best_w, q, s, cell)
 
         for _ in range(max_rounds):
             obstacle = np.maximum(best_w, 0.0) ** (q / s)
@@ -269,8 +271,7 @@ def _kv_objective(h: np.ndarray, grid: Grid, params: Params, kind: str) -> float
 
 @scoped
 def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
-            levels: int = 32, descent_steps: int = 6,
-            extra_majorants: tuple = ()) -> NormEstimate:
+            levels: int = 32) -> NormEstimate:
     """Infimum over majorants h >= |f| of the mixed s-q integral of h and its
     potential; evaluated at the proof's candidates plus projected descent."""
     q, s = params.q_below_s("kv_norm"), params.s
@@ -278,10 +279,6 @@ def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
 
     def unit(fhat, scale):
         candidates = [fhat]
-        for extra in extra_majorants:
-            h_extra = extra.values / scale
-            if np.all(h_extra >= fhat):
-                candidates.append(h_extra)
         obj0 = _kv_objective(fhat, grid, params, kind)
         # proof construction: majorant |f| + delta * phi with phi the extremal of
         # the obstacle w^(q/s) for the normalized weight w = |f| / ||f||_{L^q(cap)}
@@ -291,17 +288,14 @@ def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
         res = _solve(params, grid, w0 ** (q / s), kind, tol)
         candidates.append(fhat + obj0 * res.extremal)
         # smoothed majorant
-        # import at call time: perfbench counts calls by patching this module binding
-        from .maximal import maximal_function
-
-        smooth = maximal_function(Field(grid, fhat, nonneg=True)).values
+        smooth = maximal.maximal_function(Field(grid, fhat, nonneg=True)).values
         candidates.append(np.maximum(fhat, 0.5 * smooth))
         best_h, upper = _best(candidates, lambda h: _kv_objective(h, grid, params, kind))
 
         # projected descent on h >= |f|
         h = best_h.copy()
         step = 0.1
-        for _ in range(descent_steps):
+        for _ in range(_KV_DESCENT_STEPS):
             v = potential(Field(grid, h, nonneg=True), params.alpha, kind).values
             nz = h > 0
             grad = np.zeros_like(h)
@@ -327,8 +321,7 @@ def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
 @scoped
 def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain",
            tol: float = 1e-6, levels: int = 32, budget: int = 8,
-           seed: int = DEFAULT_FAMILY_SEED, max_rounds: int = 3,
-           extra_witnesses: tuple = ()) -> NormEstimate:
+           seed: int = DEFAULT_FAMILY_SEED) -> NormEstimate:
     """Infimum over unit-L^(s/r)(cap) weights of the p'-integral of g against
     w^(1-p'); the a1_quasicontinuous variant restricts to the explicit
     potential-built witnesses (which are A1 weights), the plain variant admits
@@ -356,11 +349,9 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
             nrm = lq_cap_norm(Field(grid, ghat, nonneg=True), s / r, params, kind,
                               levels=levels, tol=tol)
             witnesses.append(WeightWitness(Field(grid, ghat / nrm, nonneg=True), None, "custom"))
-        for extra in extra_witnesses:
-            witnesses.append(WeightWitness(extra, None, "custom"))
         best, upper = _best(witnesses, objective)
 
-        for _ in range(max_rounds):
+        for _ in range(_N_ROUNDS):
             # reweighting: extremal of the obstacle w^(1/r) restarts the construction
             obstacle = np.maximum(best.weight.values, 0.0) ** (1.0 / r)
             res = _solve(params, grid, obstacle, kind, tol)

@@ -284,7 +284,11 @@ def test_norm_estimate_validation():
 
 
 def test_solver_budget_degradation(g64, params):
-    res = capacity(ball_mask(g64, 0.25), params, tol=1e-12, max_iter=5)
+    # outside a scope a capacity is this one solve, as
+    # test_capacity_outside_scope_is_a_direct_solve pins
+    res = obstacle_program(kernel_table(g64, params.alpha, "riesz"),
+                           ball_mask(g64, 0.25).indicator().values, params.s, tol=1e-12,
+                           max_iter=5)
     assert not res.converged
     assert res.iterations <= 5
     assert res.value > 0 and math.isfinite(res.gap)
@@ -368,18 +372,25 @@ def test_memo_does_not_leak_between_calls(g64, params, solve_calls):
 def test_memoized_result_is_read_only(g64, params):
     obstacle = ball_mask(g64, 0.25).indicator().values
     with solve_scope():
-        res = _solve(params, g64, obstacle, "riesz", 1e-6, 20000)
+        res = _solve(params, g64, obstacle, "riesz", 1e-6)
     assert res.converged
     assert not res.extremal.flags.writeable and not res.multiplier.flags.writeable
-    bare = _solve(params, g64, obstacle, "riesz", 1e-6, 20000)
+    bare = _solve(params, g64, obstacle, "riesz", 1e-6)
     assert bare.extremal.flags.writeable
 
 
-def test_memo_skips_unconverged_results(g64, params, solve_calls):
+def test_memo_skips_unconverged_results(g64, params, solve_calls, monkeypatch):
+    mod = sys.modules["capax.capacity"]
+    recording = mod.obstacle_program
+
+    def small_budget(table, obstacle, s, **kw):
+        return recording(table, obstacle, s, **dict(kw, max_iter=5))
+
+    monkeypatch.setattr(mod, "obstacle_program", small_budget)
     E = ball_mask(g64, 0.25)
     with solve_scope() as scope:
-        r1 = capacity(E, params, tol=1e-12, max_iter=5)
-        r2 = capacity(E, params, tol=1e-12, max_iter=5)
+        r1 = capacity(E, params, tol=1e-12)
+        r2 = capacity(E, params, tol=1e-12)
     assert not r1.converged and not r2.converged
     assert len(solve_calls) == 2
     assert scope.counts() == {"solves": 2, "memo_hits": 0, "nonconverged": 2}

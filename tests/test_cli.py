@@ -11,6 +11,7 @@ from capax.cli import _NORMS, main, parse_args, parse_atoms, parse_set_spec
 from capax.grid import (Field, Grid, Params, ball_mask, cube_mask, field_from_json,
                         field_to_json)
 from capax.capacity import capacity, choquet_integral
+from capax.spaces import otilde_norm
 from capax.verify import CHECK_NAMES
 
 
@@ -148,6 +149,19 @@ def test_norm_command(tmp_path):
                     "--n", "1", "--alpha", "0.4", "--s", "2", "--N", "32",
                     "--levels", "16")
     assert code2 == 0
+
+
+def test_norm_command_passes_levels(tmp_path):
+    g = Grid(1, 1.0, 64)
+    fpath = tmp_path / "field.json"
+    fpath.write_text(field_to_json(Field(g, np.exp(-(g.axis - 0.1)**2 / 0.08), nonneg=True)))
+    out = tmp_path / "norm.json"
+    code = run_cli("norm", "--norm", "otilde", "--input", str(fpath), "--alpha", "0.4",
+                   "--s", "2", "--q", "1.5", "--levels", "16", "--output", str(out))
+    assert code == 0
+    f = field_from_json(fpath.read_text())
+    lib = otilde_norm(f, Params(1, 0.4, 2.0, q=1.5), levels=16)
+    assert json.loads(out.read_text())["upper"] == lib.upper
 
 
 def test_report_command(tmp_path, capsys):

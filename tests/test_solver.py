@@ -263,7 +263,8 @@ def test_cg_step_when_budget_below_free_set(monkeypatch):
     E = ball_mask(g, 0.3)
     n_set = int(E.members.sum())
     runs = _recording_cg(monkeypatch)
-    res = capacity(E, Params(1, 0.4, 2.0), tol=1e-12, max_iter=n_set)
+    res = solver.obstacle_program(kernel_table(g, 0.4, "riesz"), E.indicator().values, 2.0,
+                                  tol=1e-12, max_iter=n_set)
     assert runs and runs[0][0] == n_set - 2
     assert res.iterations <= n_set
     assert res.value > 0 and math.isfinite(res.gap)

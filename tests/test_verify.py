@@ -7,7 +7,7 @@ import pytest
 
 from capax.capacity import NormEstimate
 from capax.grid import Field, Grid, Params
-from capax.families import DEFAULT_FAMILY_SEED, family, field_family, measure_family
+from capax.families import DEFAULT_FAMILY_SEED, field_family, measure_family
 from capax.potentials import Measure, wolff_at_points
 from capax.verify import (check_adams, check_boundedness, check_ibp, check_kv_equiv, check_main2,
                           check_main3, check_newnorm2, check_upper_tri, check_wolff_weak,
@@ -18,14 +18,14 @@ P = Params(1, 0.4, 2.0, q=1.5, p=2.0, r=1.0)
 
 
 def test_family_determinism(g64):
-    a = family("mixed", 123, 8, g64)
-    b = family("mixed", 123, 8, g64)
+    a = field_family("mixed", 123, 8, g64)
+    b = field_family("mixed", 123, 8, g64)
     assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
-    c = family("mixed", 124, 8, g64)
+    c = field_family("mixed", 124, 8, g64)
     assert any(not np.array_equal(x.values, y.values) for x, y in zip(a, c))
-    assert family("mixed", 123, 0, g64) == []
+    assert field_family("mixed", 123, 0, g64) == []
     with pytest.raises(ValueError):
-        family("unknown", 1, 4, g64)
+        field_family("unknown", 1, 4, g64)
 
 
 def test_measure_family_determinism(g64):
