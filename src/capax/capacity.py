@@ -1,8 +1,11 @@
 """Set capacities, Choquet integrals, weighted quasi-norms, and the obstacle norm.
 
 Every obstacle solve in the library goes through `_solve`, one obstacle or
-a stack of them at a time: on grids of at most 64 nodes a Choquet sweep
-sends the support and all its sampled superlevel sets in one stack. Inside
+a stack of them at a time. On grids of at most 64 nodes the Choquet sweeps
+(`_choquet_integrals`, behind `choquet_integral`, `lq_cap_norm` and
+`_lq_cap_norms`) send the supports and sampled superlevel sets of all
+their fields as stacks of at most grid.size rows: `spaces.n_norm` sweeps
+the L^(s/r)(cap) norms of all its witnesses at once. Inside
 a solve scope (`solve_scope`, or a function decorated with `scoped`)
 `_solve` keeps a memo with one entry per obstacle row, so each distinct
 obstacle program is solved once per scope: Choquet sweeps of different
@@ -228,27 +231,22 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
 
     Levels are log-spaced over (min positive value, max value], and the flat
     piece below the smallest positive value uses the capacity of the support
-    exactly.
-
-    When every Newton step of the solver is a direct solve (grid.size^3 <=
-    DIRECT_MAX_WORK, at most 64 nodes), the fixed cost of each call sets the
-    cost of a solve, so the support and every sampled superlevel set are
-    solved as one stack, each row cold from its own obstacle; such a stack
-    has at most grid.size rows, so its dense products stay on one BLAS
-    thread. On larger grids each row's PCG runs set the cost, which a stack
-    does not share, and a cold start multiplies their steps as s -> 1+, so
-    the sets are solved one by one along the nested chain, each seeded with
-    the multiplier of the last converged solve (cold if there is none).
+    exactly. The sweep is `_choquet_integrals` on the one field.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be at least 1, got {levels}")
-    vals = g.values
-    if np.any(vals < 0):
-        raise ValueError("choquet_integral expects a nonnegative field")
+    return _choquet_integrals(g.grid, g.values[None], params, kind, levels, tol)[0]
+
+
+def _layer_cake(vals: np.ndarray, levels: int):
+    """The sampled superlevel thresholds of one field, and how to sum their capacities.
+
+    Returns None for a zero field; else (thresholds, distinct, idx): the
+    support's threshold 0 and then each sampled breakpoint, the distinct
+    positive node values, and the indices of the sampled breakpoints among
+    distinct[:-1].
+    """
     vmax = float(np.max(vals)) if vals.size else 0.0
     if vmax <= 0.0:
-        return 0.0
-    grid = g.grid
+        return None
     support = vals > 0
     pos_min = float(np.min(vals[support]))
 
@@ -271,31 +269,73 @@ def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int 
                                                 side="left"),
                                 0, breaks.size - 1))
         idx[-1] = breaks.size - 1
-
     # the support is {vals > 0}; then every sampled superlevel set, nested
-    thresholds = np.concatenate(([0.0], breaks[idx]))
-    if grid.size**3 <= DIRECT_MAX_WORK:
-        sets = (vals > thresholds.reshape((-1,) + (1,) * grid.dim)).astype(float)
-        values = [res.value for res in _solve(params, grid, sets, kind, tol)]
-    else:
-        values = []
-        warm = None
-        for t in thresholds:
-            res = _solve(params, grid, (vals > t).astype(float), kind, tol, warm=warm)
-            values.append(res.value)
-            # an unconverged multiplier carries no certificate and can be a
-            # worse seed than the obstacle itself, so only converged solves seed
-            if res.converged:
-                warm = res.multiplier
-    total = pos_min * values[0]
+    return np.concatenate(([0.0], breaks[idx])), distinct, idx
+
+
+def _layer_sum(distinct: np.ndarray, idx: np.ndarray, values: list) -> float:
+    """The layer cake from the capacities `values` of the support and the sampled sets."""
+    total = float(distinct[0]) * values[0]
     if not idx.size:
         return total
+    breaks = distinct[:-1]
     caps_sampled = np.array(values[1:])
     caps = np.exp(np.interp(np.log(breaks), np.log(breaks[idx]),
                             np.log(np.maximum(caps_sampled, 1e-300))))
     caps[idx] = caps_sampled
     total += float(np.sum(caps * np.diff(distinct)))
     return total
+
+
+def _choquet_integrals(grid, fields: np.ndarray, params: Params, kind: str, levels: int,
+                       tol: float) -> list[float]:
+    """`choquet_integral` of each grid-shaped row of `fields`, shape (M,) + grid.shape.
+
+    When every Newton step of the solver is a direct solve (grid.size^3 <=
+    DIRECT_MAX_WORK, at most 64 nodes), the fixed cost of each call sets the
+    cost of a solve, so the supports and sampled superlevel sets of all the
+    fields are solved as stacks, each row cold from its own obstacle, in
+    chunks of at most grid.size rows, so that the dense products stay on one
+    BLAS thread. On larger grids each row's PCG runs set the cost, which a
+    stack does not share, and a cold start multiplies their steps as s -> 1+,
+    so each field's sets are solved one by one along its nested chain, each
+    seeded with the multiplier of the last converged solve (cold if there is
+    none).
+    """
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
+    if np.any(fields < 0):
+        raise ValueError("choquet_integral expects a nonnegative field")
+    cakes = [_layer_cake(vals, levels) for vals in fields]
+    swept = [(vals, cake) for vals, cake in zip(fields, cakes) if cake is not None]
+    if not swept:
+        return [0.0] * len(fields)
+    if grid.size**3 <= DIRECT_MAX_WORK:
+        sets = np.concatenate([vals > thresholds.reshape((-1,) + (1,) * grid.dim)
+                               for vals, (thresholds, _, _) in swept]).astype(float)
+        caps = [res.value for start in range(0, len(sets), grid.size)
+                for res in _solve(params, grid, sets[start:start + grid.size], kind, tol)]
+    else:
+        caps = []
+        for vals, (thresholds, _, _) in swept:
+            warm = None
+            for t in thresholds:
+                res = _solve(params, grid, (vals > t).astype(float), kind, tol, warm=warm)
+                caps.append(res.value)
+                # an unconverged multiplier carries no certificate and can be a
+                # worse seed than the obstacle itself, so only converged solves seed
+                if res.converged:
+                    warm = res.multiplier
+    totals = []
+    start = 0
+    for cake in cakes:
+        if cake is None:
+            totals.append(0.0)
+            continue
+        thresholds, distinct, idx = cake
+        totals.append(_layer_sum(distinct, idx, caps[start:start + len(thresholds)]))
+        start += len(thresholds)
+    return totals
 
 
 def lq_cap_norm(u: Field, q: float, params: Params, kind: str = "riesz",
@@ -312,8 +352,24 @@ def lq_cap_norm(u: Field, q: float, params: Params, kind: str = "riesz",
     if scale == 0.0:
         return 0.0
     absq = Field(u.grid, (np.abs(u.values) / scale) ** q, nonneg=True)
+    # through this module's `choquet_integral`, whose binding perfbench's
+    # tracer wraps; `_lq_cap_norms` is the same norm on a stack of fields
     layer = choquet_integral(absq, params, kind, levels=levels, tol=tol)
     return scale * layer ** (1.0 / q)
+
+
+def _lq_cap_norms(grid, fields: np.ndarray, q: float, params: Params, kind: str,
+                  levels: int, tol: float) -> list[float]:
+    """`lq_cap_norm` of each grid-shaped row of `fields`, their superlevel sets
+    solved together by `_choquet_integrals`."""
+    if not q > 0:
+        raise ValueError(f"q must be positive, got {q}")
+    scales = [float(np.max(np.abs(u))) for u in fields]
+    # a zero row stays zero, and its norm is 0 * 0
+    layers = _choquet_integrals(grid, np.stack([(np.abs(u) / (scale or 1.0)) ** q
+                                                for u, scale in zip(fields, scales)]),
+                                params, kind, levels, tol)
+    return [scale * layer ** (1.0 / q) for scale, layer in zip(scales, layers)]
 
 
 def f_norm(u: Field, params: Params, kind: str = "riesz", tol: float = 1e-6) -> NormEstimate:
@@ -321,23 +377,33 @@ def f_norm(u: Field, params: Params, kind: str = "riesz", tol: float = 1e-6) -> 
     potential dominates |u|^(1/r) at every node.
 
     The unique extremal is returned as witness; lower comes from the certified
-    dual bound of the same program.
+    dual bound of the same program. The program is solved on the obstacle
+    (|u| / max|u|)^(1/r), as `lq_cap_norm` sup-normalizes, so its tolerances
+    are relative and its powers stay in range; with M = max|u|^(1/r) the
+    extremal is then scaled by M, the gap by M^s and the bounds by M^r =
+    max|u|. Raises ValueError when M^s overflows.
     """
     if params.r is None:
         raise ValueError("params.r must be set for f_norm")
     r = params.r
     vals = np.abs(u.values)
-    if not np.any(vals > 0):
+    amp = float(np.max(vals))
+    if amp == 0.0:
         return _zero_estimate(u.grid)
-    obstacle = vals ** (1.0 / r)
-    res = _solve(params, u.grid, obstacle, kind, tol)
+    res = _solve(params, u.grid, (vals / amp) ** (1.0 / r), kind, tol)
+    M = amp ** (1.0 / r)
+    try:
+        gap = res.gap * M**params.s
+    except OverflowError:
+        raise ValueError(f"f_norm: max|u| = {amp:g} puts the program's value beyond the "
+                         f"float range") from None
     power = r / params.s
-    upper = res.value**power
-    lower = max(res.dual_value, 0.0) ** power
+    upper = amp * res.value**power
+    lower = amp * max(res.dual_value, 0.0) ** power
     return NormEstimate(
         lower=min(lower, upper),
         upper=upper,
-        witness=Field(u.grid, res.extremal, nonneg=True),
-        details={"residual": res.residual, "gap": res.gap, "iterations": res.iterations,
+        witness=Field(u.grid, M * res.extremal, nonneg=True),
+        details={"residual": res.residual, "gap": gap, "iterations": res.iterations,
                  "converged": res.converged},
     )

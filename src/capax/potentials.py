@@ -181,10 +181,15 @@ def _wolff_eval(mu: Measure, alpha: float, s: float, R: float,
         else:
             masses += _density_mass_at_points(grid, dens, pts, mids)
 
-    seg = masses**exponent * 0.5 * (a**-kappa + b**-kappa) * np.log(b / a)
-    w = np.sum(seg, axis=1)
-    if infinite:
-        w += mu.total_mass**exponent * t_hi**-kappa / kappa
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        seg = masses**exponent * 0.5 * (a**-kappa + b**-kappa) * np.log(b / a)
+        w = np.sum(seg, axis=1)
+        if infinite:
+            w += np.float64(mu.total_mass) ** exponent * t_hi**-kappa / kappa
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"Wolff potential overflows: the measure's total mass "
+                         f"{mu.total_mass:g} to the power 1/(s-1) = {exponent:g} leaves "
+                         f"the float range")
     return w
 
 

@@ -18,10 +18,15 @@ call), the ray scalings, the certificates, the gradient, the free sets and
 the line search work on the whole stack. That makes a Choquet sweep's
 superlevel sets cheap where the fixed cost of each call, not its
 arithmetic, sets the cost of a solve: on grids of at most 64 nodes, where
-every Newton step is a direct solve (`capacity.choquet_integral` stacks
-only there). Each row keeps its own budget, best certificate and Newton
-system, and leaves the batch once it is accepted, its budget is spent or it
-finds no ascent step.
+every Newton step is a direct solve. The stacked callers are the Choquet
+sweeps of `capacity` (every field's sets at once, on at most 64 nodes
+only), and in `spaces` the two majorant programs of lambda and beta and the
+dyadic cubes of `m_norm`. Each row keeps its own budget, best certificate
+and Newton system, and leaves the batch once it is accepted, its budget is
+spent or it finds no ascent step. The bookkeeping copies rows only where
+some rows differ from the rest: the line search reads the live arrays
+themselves while every row is still searching, and the best certificates
+are replaced whole when every row improved.
 
 The method is a projected semismooth Newton ascent on the dual (a
 primal-dual active-set method in the sense of Hintermueller-Ito-Kunisch,
@@ -161,13 +166,15 @@ def _newton_direction(table, method, free, fprime, grad, budget):
     system is assembled from `table.dense` and solved directly at a cost of
     |F|; otherwise, or if it is singular, by PCG, matrix-free, preconditioned
     with S R_F K~^-2 E_F S (see `_scaled_inverse`), at a cost of its steps.
-    free, fprime and grad are grid-shaped.
+    free, fprime and grad are one flattened row each.
     """
     n_free = int(np.count_nonzero(free))
     if method == "dense" and budget >= n_free and free.size * n_free**2 <= DIRECT_MAX_WORK:
         d = _direct_step(table.dense, free, fprime, grad)
         if d is not None:
             return d, n_free
+    rhs = grad[free]
+    free, fprime = free.reshape(table.grid.shape), fprime.reshape(table.grid.shape)
 
     def hess_mv(v):
         vv = np.zeros(free.shape)
@@ -176,7 +183,7 @@ def _newton_direction(table, method, free, fprime, grad, budget):
 
     # in exact arithmetic PCG terminates within |F| steps; beyond that it
     # only spends budget on rounding noise
-    return _cg(hess_mv, grad[free], tol=1e-12, max_iter=min(budget, n_free),
+    return _cg(hess_mv, rhs, tol=1e-12, max_iter=min(budget, n_free),
                prec=_scaled_inverse(table, free, fprime))
 
 
@@ -251,13 +258,15 @@ def _newton_ascent(table, method, b, lam0, s, b_max, tol, budget):
         ok, gap, f, value, residual = _certificates(live.u, live.Ku, live.dual, live.b,
                                                     live.active, c, s, live.b_max)
         better = ok & (gap < live.gap)
-        # np.where copies, so the line search may move lam and dual in place
-        live.gap, live.value, live.residual, live.cert_dual = (
-            np.where(better, new, old) for new, old in
-            ((gap, live.gap), (value, live.value), (residual, live.residual),
-             (live.dual, live.cert_dual)))
-        live.f, live.cert_lam = (np.where(better[:, None], new, old) for new, old in
-                                 ((f, live.f), (live.lam, live.cert_lam)))
+        if better.all():
+            # copies, since the line search may move lam and dual in place
+            live.gap, live.value, live.residual, live.f = gap, value, residual, f
+            live.cert_dual, live.cert_lam = live.dual.copy(), live.lam.copy()
+        elif better.any():
+            for kept, new in ((live.gap, gap), (live.value, value), (live.residual, residual),
+                              (live.f, f), (live.cert_dual, live.dual),
+                              (live.cert_lam, live.lam)):
+                kept[better] = new[better]
         # a row whose certificate did not improve was not accepted before
         accepted = better & (gap <= tol) & (residual <= tol)
         if retire(accepted | (live.steps >= budget)):
@@ -270,14 +279,14 @@ def _newton_ascent(table, method, b, lam0, s, b_max, tol, budget):
         live.steps += 1
         step = np.zeros(grad.shape)
         moving = []   # the rows with a nonzero step
-        for i in range(len(step)):
-            d, cost = _newton_direction(table, method, free[i].reshape(shape),
-                                        fprime[i].reshape(shape), grad[i].reshape(shape),
-                                        budget - live.steps[i])
-            live.steps[i] += cost
+        costs = []
+        for i, left in enumerate((budget - live.steps).tolist()):
+            d, cost = _newton_direction(table, method, free[i], fprime[i], grad[i], left)
+            costs.append(cost)
             if d.any():
                 step[i, free[i]] = d
                 moving.append(i)
+        live.steps += costs
         if retire(~_line_search(op_apply, live, step, np.array(moving, dtype=int), c, s)):
             break
     return out
@@ -289,21 +298,29 @@ def _line_search(op_apply, live, step, searching, c, s):
 
     Trial i takes lam + 2^-i step, projected onto lam >= 0, for i < 25, on
     the rows that have not risen yet. Moves the rows that rise to their new
-    ray-optimal iterate, in place, and returns the mask of them over the
-    live rows.
+    ray-optimal iterate, and returns the mask of them over the live rows.
+    While every live row is searching, a trial reads the live arrays
+    themselves, and if every row rises the stack is rebound to the new
+    iterates; otherwise the rows that rise are written in place.
     """
-    improved = np.zeros(len(live.lam), dtype=bool)
+    n_live = len(live.lam)
+    improved = np.zeros(n_live, dtype=bool)
     t_step = 1.0
     for _ in range(25):
         if not searching.size:
             break
-        lam_try = t_step * step[searching]
-        lam_try += live.lam[searching]
+        rows = slice(None) if searching.size == n_live else searching
+        lam_try = t_step * step[rows]
+        lam_try += live.lam[rows]
         np.maximum(lam_try, 0.0, out=lam_try)
         a_try = op_apply(lam_try)
-        t, dual_try = _ray(lam_try, a_try, live.b[searching], c, s)
-        old = live.dual[searching]
+        t, dual_try = _ray(lam_try, a_try, live.b[rows], c, s)
+        old = live.dual[rows]
         up = (dual_try > old * (1.0 + 1e-15)) | ((old <= 0) & (dual_try > old))
+        if searching.size == n_live and up.all():
+            live.lam, live.a, live.dual = t[:, None] * lam_try, t[:, None] * a_try, dual_try
+            improved[:] = True
+            break
         won = searching[up]
         live.lam[won], live.a[won] = t[up, None] * lam_try[up], t[up, None] * a_try[up]
         live.dual[won] = dual_try[up]
@@ -319,8 +336,8 @@ def _direct_step(dense, free, fprime, grad):
     K_F holds the columns of the dense operator on the free set F. Returns
     None when the assembled matrix is singular.
     """
-    KF = dense[:, free.ravel()]
-    H = KF.T @ (fprime.reshape(-1, 1) * KF)
+    KF = dense[:, free]
+    H = KF.T @ (fprime[:, None] * KF)
     try:
         return np.linalg.solve(H, grad[free])
     except np.linalg.LinAlgError:

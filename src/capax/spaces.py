@@ -25,8 +25,8 @@ import numpy as np
 # the Wolff potential and the maximal function are called through their
 # modules, whose attributes perfbench's tracer patches to count the calls
 from . import maximal, potentials
-from .capacity import (NormEstimate, choquet_integral, lq_cap_norm, scoped, _solve,
-                       _zero_estimate)
+from .capacity import (NormEstimate, choquet_integral, lq_cap_norm, scoped, _lq_cap_norms,
+                       _solve, _zero_estimate)
 from .families import DEFAULT_FAMILY_SEED, field_family
 from .grid import Field, Grid, Params, integrate, lp_norm
 from .maximal import a1_constant
@@ -97,20 +97,28 @@ def a1_weight_witness(h: Field, params: Params, kind: str, tol: float = 1e-6,
                       levels: int = 32, with_a1: bool = False) -> WeightWitness:
     """The trace-theorem witness built from a nonnegative h: w = (I h)^r for
     r <= 1 and w = I[h (I h)^(r-1)] for r > 1, normalized in L^(s/r)(cap)."""
-    r = params.r
-    if r is None:
+    if params.r is None:
         raise ValueError("params.r must be set")
+    raw, construction = _a1_raw(h, params, kind)
+    nrm = lq_cap_norm(Field(h.grid, raw, nonneg=True), params.s / params.r, params, kind,
+                      levels=levels, tol=tol)
+    return _weight_witness(h.grid, raw, nrm, construction, kind, with_a1)
+
+
+def _a1_raw(h: Field, params: Params, kind: str) -> tuple:
+    """The unnormalized weight of `a1_weight_witness`, and the name of its construction."""
+    r = params.r
     v = potential(h, params.alpha, kind).values
     if r <= 1.0:
-        raw = v**r
-        construction = "iterated_potential_r<=1"
-    else:
-        inner = Field(h.grid, h.values * v ** (r - 1.0), nonneg=True)
-        raw = potential(inner, params.alpha, kind).values
-        construction = "iterated_potential_r>1"
-    w = Field(h.grid, raw, nonneg=True)
-    nrm = lq_cap_norm(w, params.s / r, params, kind, levels=levels, tol=tol)
-    w_unit = Field(h.grid, raw / nrm, nonneg=True)
+        return v**r, "iterated_potential_r<=1"
+    inner = Field(h.grid, h.values * v ** (r - 1.0), nonneg=True)
+    return potential(inner, params.alpha, kind).values, "iterated_potential_r>1"
+
+
+def _weight_witness(grid: Grid, raw: np.ndarray, nrm: float, construction: str, kind: str,
+                    with_a1: bool) -> WeightWitness:
+    """The weight raw / nrm, with its A1 constant when `with_a1`."""
+    w_unit = Field(grid, raw / nrm, nonneg=True)
     a1 = a1_constant(w_unit, truncated=(kind == "bessel")) if with_a1 else None
     return WeightWitness(w_unit, a1, construction)
 
@@ -122,26 +130,24 @@ def _dyadic_cube_ratio(f_pow: np.ndarray, grid: Grid, params: Params, kind: str,
     """max over the dyadic cube partition family of integral(K)/cap(K).
 
     Capacity depends on the cube size only (translation invariance up to box
-    truncation), so one solve per size serves every position.
+    truncation), so one centred cube per size serves every position; the
+    cubes of all log2(N) + 1 sizes are solved as one stack.
     """
-    N = grid.points_per_axis
-    dim = grid.dim
+    N, dim = grid.points_per_axis, grid.dim
+    sizes = [N >> k for k in range(N.bit_length())]    # N, N/2, ..., 1
+    cubes = np.zeros((len(sizes),) + grid.shape)
+    for cube, size in zip(cubes, sizes):
+        lo = N // 2 - size // 2
+        cube[(slice(lo, lo + size),) * dim] = 1.0
     best = 0.0
     best_size = None
-    size = N
-    while size >= 1:
-        blocks = f_pow.reshape(*sum(((N // size, size) for _ in range(dim)), ()))
-        axes = tuple(2 * d + 1 for d in range(dim))
-        sums = blocks.sum(axis=axes) * grid.cell_volume
-        lo = N // 2 - size // 2
-        members = np.zeros(grid.shape, dtype=bool)
-        members[tuple(slice(lo, lo + size) for _ in range(dim))] = True
-        res = _solve(params, grid, members.astype(float), kind, tol)
+    for size, res in zip(sizes, _solve(params, grid, cubes, kind, tol)):
         if res.value > 0:
+            blocks = f_pow.reshape(*sum(((N // size, size) for _ in range(dim)), ()))
+            sums = blocks.sum(axis=tuple(2 * d + 1 for d in range(dim))) * grid.cell_volume
             ratio = float(np.max(sums)) / res.value
             if ratio > best:
                 best, best_size = ratio, size
-        size //= 2
     return best, best_size
 
 
@@ -343,12 +349,15 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
 
         hs = field_family("mixed", seed, budget, grid)
         hs.append(Field(grid, ghat, nonneg=True))
-        witnesses = [a1_weight_witness(hn, params, kind, tol=tol, levels=levels, with_a1=with_a1)
-                     for h in hs if (hn := _l_s_normalized(h, s)) is not None]
+        built = [_a1_raw(hn, params, kind) for h in hs
+                 if (hn := _l_s_normalized(h, s)) is not None]
         if variant == "plain":
-            nrm = lq_cap_norm(Field(grid, ghat, nonneg=True), s / r, params, kind,
-                              levels=levels, tol=tol)
-            witnesses.append(WeightWitness(Field(grid, ghat / nrm, nonneg=True), None, "custom"))
+            built.append((ghat, "custom"))   # with_a1 is False here
+        # every witness's L^(s/r)(cap) norm in one stacked sweep
+        norms = _lq_cap_norms(grid, np.stack([raw for raw, _ in built]), s / r, params, kind,
+                              levels, tol)
+        witnesses = [_weight_witness(grid, raw, nrm, construction, kind, with_a1)
+                     for (raw, construction), nrm in zip(built, norms)]
         best, upper = _best(witnesses, objective)
 
         for _ in range(_N_ROUNDS):
@@ -386,12 +395,13 @@ def _majorants(uhat: np.ndarray, params: Params, kind: str, grid: Grid,
         vf = potential(Field(grid, f, nonneg=True), params.alpha, kind).values
         return float(np.max(uhat[nz] / vf[nz]))
 
-    g = _solve(params, grid, uhat ** (q / s), kind, tol).extremal
+    g_res, u_res = _solve(params, grid, np.stack([uhat ** (q / s), uhat]), kind, tol)
+    g = g_res.extremal
     v = potential(Field(grid, g, nonneg=True), params.alpha, kind).values
     f_cand = g * np.maximum(v, 0.0) ** (s / q - 1.0)
     f_cand = f_cand * ratio(f_cand)
     majorants = []
-    for f in (f_cand, _solve(params, grid, uhat, kind, tol).extremal):
+    for f in (f_cand, u_res.extremal):
         slack = ratio(f)
         majorants.append(f * slack if slack > 1.0 else f)
     return majorants

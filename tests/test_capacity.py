@@ -8,7 +8,8 @@ import pytest
 
 from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
 from capax.capacity import (NormEstimate, capacity, choquet_integral, f_norm, lq_cap_norm,
-                            solve_scope, _solve)
+                            solve_scope, _choquet_integrals, _lq_cap_norms, _solve)
+from capax.families import field_family
 from capax.kernels import kernel_table
 from capax.potentials import potential
 from capax.solver import obstacle_program
@@ -213,6 +214,29 @@ def test_choquet_solves_one_cold_stack(g64, params, monkeypatch):
     assert set(memo) == {row.tobytes() for k, row in enumerate(sets) if k != 1}
 
 
+@pytest.mark.parametrize("N", [64, 128])
+def test_stacked_sweeps_match_one_field_calls(N, params, solve_calls):
+    # on 64 nodes the fields' sets share stacks, whose products round in their
+    # own order; on 128 each field keeps its own warm chain, so the values
+    # are the one-field calls' exactly
+    g = Grid(1, 1.0, N)
+    fields = [np.abs(f.values) for f in field_family("mixed", 5, 6, g)]
+    fields.insert(2, np.zeros(g.shape))
+    stack = np.stack(fields)
+    caps = _choquet_integrals(g, stack, params, "riesz", 16, 1e-6)
+    rows = len(solve_calls)
+    norms = _lq_cap_norms(g, stack, 1.5, params, "riesz", 16, 1e-6)
+    alone_caps = [choquet_integral(Field(g, f, nonneg=True), params, levels=16) for f in fields]
+    alone_norms = [lq_cap_norm(Field(g, f, nonneg=True), 1.5, params, levels=16) for f in fields]
+    assert caps[2] == norms[2] == 0.0
+    if N == 128:
+        assert caps == alone_caps and norms == alone_norms
+    else:
+        assert rows > N    # more rows than one stack takes
+        for got, want in zip(caps + norms, alone_caps + alone_norms):
+            assert abs(got - want) <= 1e-14 * want
+
+
 def test_choquet_monotone(g64, params):
     rng = np.random.default_rng(4)
     a = rng.uniform(0, 1, g64.shape)
@@ -259,6 +283,24 @@ def test_f_norm_zero_and_indicator(g64, params):
     assert abs(est2.upper / (c * capE ** (P.r / P.s)) - 1) <= 0.03
     assert est2.lower <= est2.upper
     assert est2.details["converged"]
+
+
+def test_f_norm_at_extreme_amplitudes():
+    # the program is solved on the sup-normalized obstacle; at 1e154 the raw
+    # obstacle's powers overflowed and the estimate came back (0, 0)
+    g = Grid(1, 1.0, 32)
+    P = Params(1, 0.4, 2.0, q=1.0, p=2.0, r=1.0)
+    unit = np.abs(field_family("mixed", 5, 2, g)[1].values)
+    unit /= unit.max()
+    ref = f_norm(Field(g, unit, nonneg=True), P)
+    for amp in (1e154, 1e-150):
+        est = f_norm(Field(g, amp * unit, nonneg=True), P)
+        assert est.details["converged"] and est.lower <= est.upper
+        assert est.upper / amp == pytest.approx(ref.upper, rel=1e-14)
+        assert est.lower / amp == pytest.approx(ref.lower, rel=1e-14)
+        assert np.allclose(est.witness.values / amp, ref.witness.values, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError, match="float range"):
+        f_norm(Field(g, 1e160 * unit, nonneg=True), P)    # h^n sum f^2 ~ 1e320
 
 
 def test_f_norm_sandwich_with_lq_cap(g64):

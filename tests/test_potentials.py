@@ -166,6 +166,15 @@ def test_wolff_mass_scaling_exact(g64):
     assert np.allclose(w2, 2.0 ** (1 / (s - 1)) * w1, rtol=1e-13)
 
 
+def test_wolff_overflow_raises_value_error():
+    g = Grid(1, 1.0, 32)
+    dens = np.exp(-g.axis**2 / 0.05)
+    mu = Measure.from_density(Field(g, 1e160 * dens / dens.max(), nonneg=True))
+    with pytest.raises(ValueError, match="total mass"):
+        wolff_potential(mu, 0.4, 1.5)
+    assert np.all(np.isfinite(wolff_potential(mu, 0.3, 3.0).values))   # power 1/2
+
+
 def test_wolff_density_vs_atom_consistency():
     # a concentrated density behaves like its atom counterpart away from it;
     # the density path has no per-node jump knots, so agreement is limited by

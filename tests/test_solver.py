@@ -350,6 +350,20 @@ def test_stack_of_one_is_the_single_solve():
         assert np.array_equal(stacked.multiplier, single.multiplier)
 
 
+@pytest.mark.parametrize("s", [1.5, 2.0])
+def test_stack_of_one_is_the_single_solve_on_the_fft_path(s):
+    g = Grid(2, 1.0, 32)
+    table = kernel_table(g, 0.7, "riesz")
+    b = ball_mask(g, 0.4).members.astype(float)
+    single = solver.obstacle_program(table, b, s)
+    (stacked,) = solver.obstacle_program(table, b[None], s)
+    assert single.converged and single.iterations > 1
+    for name in ("value", "residual", "gap", "dual_value", "iterations"):
+        assert getattr(stacked, name) == getattr(single, name)
+    assert np.array_equal(stacked.extremal, single.extremal)
+    assert np.array_equal(stacked.multiplier, single.multiplier)
+
+
 def test_zero_row_of_a_stack_is_the_zero_result():
     g = Grid(1, 1.0, 64)
     table = kernel_table(g, 0.4, "riesz")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from capax.grid import Field, Grid, Params, ball_mask
 from capax.capacity import capacity, lq_cap_norm, _solve
 from capax.potentials import potential
-from capax.spaces import (_kv_objective, _otilde_objective, a1_weight_witness,
+from capax.spaces import (_dyadic_cube_ratio, _kv_objective, _majorants, _otilde_objective,
+                          a1_weight_witness,
                           beta_functional, kv_norm, lambda_functional, m_norm, n_norm,
                           otilde_norm)
 
@@ -234,3 +236,36 @@ def test_lower_never_exceeds_upper(g64):
                 kv_norm(f, P_Q, levels=16),
                 n_norm(f, P_RL, budget=2, levels=16)):
         assert est.lower <= est.upper * (1 + 1e-12)
+
+
+@pytest.fixture
+def solve_stacks(monkeypatch):
+    """Record each call to the capacity module's obstacle_program as its stack
+    of obstacle rows; a grid-shaped obstacle is a stack of one."""
+    mod = sys.modules["capax.capacity"]     # the package attribute is the function
+    orig = mod.obstacle_program
+    stacks = []
+
+    def recording(table, obstacle, s, **kw):
+        stacks.append(np.array(obstacle, dtype=float).reshape((-1,) + table.grid.shape))
+        return orig(table, obstacle, s, **kw)
+
+    monkeypatch.setattr(mod, "obstacle_program", recording)
+    return stacks
+
+
+def test_majorants_solve_one_stack_of_two(g64, solve_stacks):
+    uhat = np.exp(-g64.axis**2 / 0.05)
+    majorants = _majorants(uhat, P_Q, "riesz", g64, 1e-6)
+    assert len(majorants) == 2 and len(solve_stacks) == 1
+    assert np.array_equal(solve_stacks[0], np.stack([uhat ** (P_Q.q / P_Q.s), uhat]))
+
+
+def test_dyadic_cubes_solve_one_stack(g64, solve_stacks):
+    f_pow = np.exp(-g64.axis**2 / 0.05)
+    ratio, size = _dyadic_cube_ratio(f_pow, g64, P_RS, "riesz", 1e-6)
+    assert len(solve_stacks) == 1
+    cubes = solve_stacks[0]
+    assert cubes.shape == (7,) + g64.shape     # sizes 64, 32, ..., 1: log2(64) + 1
+    assert [int(c.sum()) for c in cubes] == [64, 32, 16, 8, 4, 2, 1]
+    assert ratio > 0 and size in (64, 32, 16, 8, 4, 2, 1)
