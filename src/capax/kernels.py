@@ -11,12 +11,17 @@ the ball of equal volume and integrating radially in closed form.
 A table acts on grid values as a linear convolution. `padded_spectrum` puts
 the centered table in wrap-around layout on the 2N torus (period 2N per axis,
 so the zero-padded grid values never wrap onto themselves) and takes its real
-FFT; `torus_convolve` pads the values to 2N, multiplies by a spectrum,
-transforms back and slices to the grid. `apply_kernel` is the h^n-weighted
-operator K: the torus product with the table's cached spectrum, multiplied by
-h^n after the slice, or the table's cached dense matrix, which carries h^n in
-its entries. Both act on the trailing grid axes, so a stack of grid values
-along leading axes is transformed in one call, each row as on its own.
+FFT; `torus_convolve` multiplies the values' transform on the 2N torus by a
+spectrum, transforms back and slices to the grid. It never transforms the
+zero half of the padded torus (FFT pruning: the last axis first with a real
+FFT, the other axes from last to first, and back in the opposite order,
+slicing each axis to N after its inverse transform), and its result is
+bit-identical to the full-torus `irfftn(rfftn(values, s) * spectrum, s)`
+sliced to the grid. `apply_kernel` is the h^n-weighted operator K: the torus
+product with the table's cached spectrum, multiplied by h^n after the slice,
+or the table's cached dense matrix, which carries h^n in its entries. Both
+act on the trailing grid axes, so a stack of grid values along leading axes
+is transformed in one call, each row as on its own.
 """
 
 from __future__ import annotations
@@ -193,18 +198,31 @@ def padded_spectrum(centered: np.ndarray) -> np.ndarray:
 
 def torus_convolve(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """Linear convolution of grid values with the table whose `padded_spectrum`
-    is `spectrum`: zero-pad to 2N, multiply, inverse FFT, slice to the grid.
+    is `spectrum`: the product on the 2N torus, sliced to the grid.
+
+    The zero half of the padded torus is never transformed (FFT pruning,
+    Markel, IEEE Trans. Audio Electroacoust. 19, 1971): `rfft(n=2N)` along
+    the last grid axis of the N^n values, then `fft(n=2N)` along the other
+    grid axes from last to first, the multiply, then `ifft` along the grid
+    axes from first to second-to-last, each sliced to N straight after its
+    transform, and `irfft(n=2N)` along the last. numpy's `rfftn`/`irfftn`
+    run the same 1D transforms in the same order over the whole torus, so
+    the result is bit-identical to
+    `irfftn(rfftn(values, s) * spectrum, s)[:N, ...]` with s = (2N,)^n.
 
     The transforms run over the trailing spectrum.ndim axes of `values`; any
     leading axes index a stack, and each row comes out bit for bit as it
     would alone. The result is a view into the padded transform, not a copy."""
     N = values.shape[-1]
-    dim = spectrum.ndim
-    padded_shape = (2 * N,) * dim
-    axes = tuple(range(values.ndim - dim, values.ndim))
-    f_hat = np.fft.rfftn(values, s=padded_shape, axes=axes)
-    full = np.fft.irfftn(f_hat * spectrum, s=padded_shape, axes=axes)
-    return full[(Ellipsis,) + (slice(0, N),) * dim]
+    first = values.ndim - spectrum.ndim   # the first grid axis
+    last = values.ndim - 1
+    x = np.fft.rfft(values, n=2 * N, axis=last)
+    for axis in range(last - 1, first - 1, -1):
+        x = np.fft.fft(x, n=2 * N, axis=axis)
+    x *= spectrum
+    for axis in range(first, last):
+        x = np.fft.ifft(x, axis=axis)[(slice(None),) * axis + (slice(0, N),)]
+    return np.fft.irfft(x, n=2 * N, axis=last)[..., :N]
 
 
 def apply_kernel(table: KernelTable, values: np.ndarray, method: str = "fast") -> np.ndarray:

@@ -53,8 +53,15 @@ def ball_stencil(grid: Grid, radius: float) -> np.ndarray:
 
 
 def ball_sums(grid: Grid, values: np.ndarray, radius: float) -> np.ndarray:
-    """Node-counting sums of `values` over the ball about every node, clipped at 0."""
-    return np.maximum(torus_convolve(values, padded_spectrum(ball_stencil(grid, radius))), 0.0)
+    """Node-counting sums of `values` over the ball about every node, clipped at 0.
+
+    A ball that holds no node of the support of `values` sums to exactly 0:
+    the torus product leaves rounding residue there, so the support count,
+    the same product on the support indicator rounded to an integer, zeroes it.
+    """
+    both = np.stack([values, values != 0])   # one transform for the sums and the counts
+    sums, counts = torus_convolve(both, padded_spectrum(ball_stencil(grid, radius)))
+    return np.where(np.rint(counts) > 0, np.maximum(sums, 0.0), 0.0)
 
 
 def maximal_function(w: Field, truncated: bool = False) -> Field:

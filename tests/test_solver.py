@@ -78,7 +78,7 @@ def _forbid_cg(*args, **kwargs):
 
 
 def _recording_cg(monkeypatch, drop_prec=False):
-    # records (max_iter, preconditioned, steps) of every CG run, where
+    # records (max_iter, preconditioned, steps, tol) of every CG run, where
     # preconditioned means the solver's preconditioner moves the right-hand
     # side; drop_prec runs each one with the identity preconditioner
     runs = []
@@ -87,7 +87,7 @@ def _recording_cg(monkeypatch, drop_prec=False):
     def recording(mv, rhs, tol, max_iter, prec):
         pre = not np.array_equal(prec(rhs), rhs)
         x, k = orig(mv, rhs, tol, max_iter, (lambda r: r) if drop_prec else prec)
-        runs.append((max_iter, pre, k))
+        runs.append((max_iter, pre, k, tol))
         return x, k
 
     monkeypatch.setattr(solver, "_cg", recording)
@@ -145,15 +145,15 @@ def test_cg_with_exact_inverse_takes_one_step(rng):
 
 
 def test_fft_newton_step_is_preconditioned(monkeypatch):
-    # 4,096 nodes take the FFT path; one Newton step whose CG run took 32
-    # steps (34 in all) unpreconditioned takes 9 (11 in all) with PCG
+    # 4,096 nodes take the FFT path; one Newton step whose CG run takes 22
+    # steps (24 in all) unpreconditioned takes 7 (9 in all) with PCG
     tol = 1e-6
     E = ball_mask(Grid(2, 1.0, 64), 0.3)
     P = Params(2, 0.7, 2.0)
     with monkeypatch.context() as m:
         runs = _recording_cg(m)
         res = capacity(E, P, "riesz", tol=tol)
-    assert runs and all(pre for _, pre, _ in runs)
+    assert runs and all(pre for _, pre, _, _ in runs)
     assert res.converged and res.iterations <= 15
     assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
     with monkeypatch.context() as m:
@@ -161,6 +161,28 @@ def test_fft_newton_step_is_preconditioned(monkeypatch):
         plain = capacity(E, P, "riesz", tol=tol)
     assert plain.converged and plain.iterations > res.iterations
     assert _agree(res.value, plain.value, tol)
+
+
+def test_pcg_stops_at_certificate_accuracy(monkeypatch):
+    # each PCG run stops at tol / 100, not at rounding level: the solve still
+    # certifies, within the certificates' tolerance of the solve whose PCG
+    # runs stop at 1e-12, and takes no more Newton steps (one PCG run each)
+    tol = 1e-6
+    E = ball_mask(Grid(2, 1.0, 64), 0.3)
+    P = Params(2, 0.7, 2.0)
+    with monkeypatch.context() as m:
+        runs = _recording_cg(m)
+        res = capacity(E, P, "riesz", tol=tol)
+    assert runs and all(run_tol == tol / 100 for _, _, _, run_tol in runs)
+    assert res.converged
+    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "PCG_TOL_RATIO", 1e-12 / tol)
+        tight_runs = _recording_cg(m)
+        tight = capacity(E, P, "riesz", tol=tol)
+    assert tight_runs and all(run_tol == 1e-12 for _, _, _, run_tol in tight_runs)
+    assert tight.converged and _agree(res.value, tight.value, tol)
+    assert len(runs) <= len(tight_runs)
 
 
 @pytest.mark.parametrize("alpha,positive", [(0.95 * 3 / 1.05, False), (1.0, True)])
@@ -178,7 +200,7 @@ def test_3d_preconditioner_floors_nonpositive_spectrum(alpha, positive, monkeypa
         assert np.array_equal(inv, 1.0 / (g.cell_volume * table.padded_rfft.real) ** 2)
     runs = _recording_cg(monkeypatch)
     res = capacity(ball_mask(g, 0.7), Params(3, alpha, 1.05), "riesz", tol=tol)
-    assert runs and all(pre for _, pre, _ in runs)
+    assert runs and all(pre for _, pre, _, _ in runs)
     assert res.converged
     assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
 
@@ -226,7 +248,7 @@ def test_cg_step_beyond_direct_work_bound(monkeypatch):
     with monkeypatch.context() as m:
         runs = _recording_cg(m)
         res = capacity(E, Params(2, 0.5, 2.0), "riesz", tol=tol)
-    assert runs and all(pre for _, pre, _ in runs)
+    assert runs and all(pre for _, pre, _, _ in runs)
     assert res.converged
     assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
     # on 256 nodes in 1D, Bessel s = 1.5, K~^-2 cut the steps of balls 0.3
@@ -240,7 +262,7 @@ def test_cg_step_beyond_direct_work_bound(monkeypatch):
         with monkeypatch.context() as m:
             runs = _recording_cg(m)
             res = capacity(E, P, "bessel", tol=tol)
-        assert runs and all(pre for _, pre, _ in runs)
+        assert runs and all(pre for _, pre, _, _ in runs)
         assert res.converged
         assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
         with monkeypatch.context() as m:
@@ -325,7 +347,7 @@ def test_stacked_rows_agree_with_single_solves(n, N, alpha, s, monkeypatch):
     rows = _nested_sets(g, 4)
     runs = _recording_cg(monkeypatch)
     stacked = solver.obstacle_program(table, rows, s, tol=tol)
-    assert bool(runs) == (n == 2) and all(pre for _, pre, _ in runs)
+    assert bool(runs) == (n == 2) and all(pre for _, pre, _, _ in runs)
     assert isinstance(stacked, list) and len(stacked) == len(rows)
     for row, res in zip(rows, stacked):
         alone = solver.obstacle_program(table, row, s, tol=tol)
