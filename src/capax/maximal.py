@@ -77,13 +77,14 @@ def maximal_function(w: Field, truncated: bool = False) -> Field:
         length = np.clip(x + rr, -L, L) - np.clip(x - rr, -L, L)
         best = np.max(interval_mass(grid, vals, x, rr) / length, axis=0)
     else:
-        best, ones = np.full(grid.shape, -np.inf), np.ones(grid.shape)
+        best = np.full(grid.shape, -np.inf)
+        stack = np.stack([vals, vals != 0, np.ones(grid.shape)])
         for r in radii:
-            # one stencil spectrum serves the node counts and the sums
-            spectrum = padded_spectrum(ball_stencil(grid, r))
-            counts = np.rint(torus_convolve(ones, spectrum))
-            sums = np.maximum(torus_convolve(vals, spectrum), 0.0)
-            best = np.maximum(best, sums / np.maximum(counts, 1.0))
+            # one product gives the sums, the support counts and the node counts;
+            # as in `ball_sums`, a ball without a support node sums to exactly 0
+            sums, support, counts = torus_convolve(stack, padded_spectrum(ball_stencil(grid, r)))
+            sums = np.where(np.rint(support) > 0, np.maximum(sums, 0.0), 0.0)
+            best = np.maximum(best, sums / np.maximum(np.rint(counts), 1.0))
     return Field(grid, best, nonneg=True)
 
 

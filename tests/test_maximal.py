@@ -5,7 +5,8 @@ import pytest
 
 from capax.grid import Field, Grid
 from capax.kernels import riesz_gamma
-from capax.maximal import a1_constant, ball_stencil, dyadic_radii, maximal_function
+from capax.maximal import (BALL_SLACK, a1_constant, ball_stencil, dyadic_radii,
+                           maximal_function)
 
 
 def test_dyadic_radius_set():
@@ -48,6 +49,27 @@ def test_maximal_spike_against_enumeration_oracle():
     # headline behavior: value at distance d is about h / (2 max(d, h))
     d = abs(g.axis[10] - g.axis[k])
     assert got[10] == pytest.approx(h / (2 * max(d, h)), rel=0.75)
+
+
+def test_maximal_nd_zero_where_balls_miss_support():
+    # w = 1 on the 4x4 corner block: at the 135 nodes whose dyadic balls
+    # (truncated at radius 1) hold no block node the torus product leaves
+    # rounding residue, which the support counts zero exactly; every node
+    # agrees with node counting
+    g = Grid(2, 1.0, 16)
+    w = np.zeros(g.shape)
+    w[:4, :4] = 1.0
+    got = maximal_function(Field(g, w, nonneg=True), truncated=True).values
+    nodes = np.stack(np.meshgrid(g.axis, g.axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
+    expected = np.zeros(g.size)
+    for r in dyadic_radii(g, truncated=True):
+        inside = dist <= r * BALL_SLACK
+        expected = np.maximum(expected, (inside @ w.ravel()) / inside.sum(axis=1))
+    expected = expected.reshape(g.shape)
+    assert np.count_nonzero(expected == 0.0) == 135
+    assert np.all(got[expected == 0.0] == 0.0)
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 def test_truncated_below_untruncated():

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import capax.solver as solver
 from capax.capacity import capacity
 from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
-from capax.kernels import apply_kernel, kernel_table, riesz_kernel_table, torus_convolve
+from capax.kernels import apply_kernel, kernel_table, riesz_kernel_table
 from capax.potentials import potential
 
 
@@ -45,6 +46,38 @@ def test_cg_capped_at_free_set_size():
     res = capacity(Mask(g, members.reshape(g.shape)), P, "bessel", tol=tol)
     assert res.converged
     assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+
+
+_SHAPES = st.lists(st.tuples(st.sampled_from([ball_mask, cube_mask]), st.floats(0.2, 0.8),
+                             st.lists(st.floats(-0.6, 0.6), min_size=3, max_size=3)),
+                   min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 16), (3, 8)]), st.sampled_from([1.2, 2.0, 3.0]),
+       st.sampled_from(["riesz", "bessel"]), _SHAPES)
+def test_fft_path_agrees_with_dense_path(grid, s, kind, shapes):
+    # on a random union of balls and cubes, the solve on the FFT path (PCG
+    # preconditioned by K~^-2 on the N torus) and on the dense path both
+    # certify, and their values agree within the certificates' tolerance
+    tol = 1e-6
+    n, N = grid
+    g = Grid(n, 1.0, N)
+    E = Mask(g, np.zeros(g.shape, dtype=bool))
+    for make, size, center in shapes:
+        E = E | make(g, size, center[:n])
+    assume(E.members.any())
+    P = Params(n, 0.5 * n / s, s)
+    results = []
+    for bound in (10**6, 0):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver, "DENSE_MAX_NODES", bound)
+            results.append(capacity(E, P, kind, tol=tol))
+    dense, fft = results
+    for res in results:
+        assert res.converged
+        assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    assert _agree(dense.value, fft.value, tol)
 
 
 @pytest.mark.parametrize("n,N,alpha,method", [(1, 64, 0.25, "dense"), (2, 16, 0.5, "dense"),
@@ -185,19 +218,32 @@ def test_pcg_stops_at_certificate_accuracy(monkeypatch):
     assert len(runs) <= len(tight_runs)
 
 
+def _strang_symbol(table):
+    # real FFT of the table's N-periodic Strang circulant: per axis the
+    # offsets -N/2+1 .. N/2, rolled so that offset 0 comes first
+    N, n = table.grid.points_per_axis, table.grid.dim
+    window = table.values[(slice(N // 2, N // 2 + N),) * n]
+    return np.fft.rfftn(np.roll(window, -(N // 2 - 1), axis=tuple(range(n)))).real
+
+
 @pytest.mark.parametrize("alpha,positive", [(0.95 * 3 / 1.05, False), (1.0, True)])
 def test_3d_preconditioner_floors_nonpositive_spectrum(alpha, positive, monkeypatch):
-    # at alpha = 0.95 n/s the 3D Riesz table's torus spectrum has modes <= 0;
-    # floored at the magnitude of the least mode, K~^-2 still preconditions
-    # every CG run, and on a positive spectrum the floor changes nothing
+    # at alpha = 0.95 n/s the 3D Riesz table's Strang symbol and 2N torus
+    # symbol have modes <= 0; floored at the magnitude of the 2N symbol's
+    # least mode, K~^-2 still preconditions every CG run; on a positive table
+    # the floor only lifts the Strang modes below it, here by under 1e-4
     tol = 1e-6
     g = Grid(3, 1.0, 8)
     table = riesz_kernel_table(g, alpha)
+    strang = _strang_symbol(table)
     assert bool((table.padded_rfft.real > 0.0).all()) == positive
+    assert bool((strang > 0.0).all()) == positive
     inv = table.inverse_square_rfft
     assert np.all(np.isfinite(inv)) and np.all(inv > 0.0)
     if positive:
-        assert np.array_equal(inv, 1.0 / (g.cell_volume * table.padded_rfft.real) ** 2)
+        floored = np.maximum(strang, table.padded_rfft.real.min())
+        assert np.allclose(floored, strang, rtol=1e-4, atol=0.0)
+        assert np.array_equal(inv, 1.0 / (g.cell_volume * floored) ** 2)
     runs = _recording_cg(monkeypatch)
     res = capacity(ball_mask(g, 0.7), Params(3, alpha, 1.05), "riesz", tol=tol)
     assert runs and all(pre for _, pre, _, _ in runs)
@@ -205,8 +251,26 @@ def test_3d_preconditioner_floors_nonpositive_spectrum(alpha, positive, monkeypa
     assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
 
 
+def test_3d_bessel_preconditioner_where_only_strang_symbol_is_nonpositive(monkeypatch):
+    # the Strang symbol of this table has a mode <= 0 (-0.007) while the 2N
+    # torus symbol has none (least mode 0.073); floored at that least mode,
+    # PCG certifies in 55 steps (54 with K~^-2 on the 2N torus, 74 with the
+    # Strang symbol floored at the magnitude of its own least mode)
+    tol = 1e-6
+    g = Grid(3, 1.0, 16)
+    alpha = 0.95 * 3 / 1.05
+    table = kernel_table(g, alpha, "bessel")
+    assert _strang_symbol(table).min() <= 0.0 < table.padded_rfft.real.min()
+    runs = _recording_cg(monkeypatch)
+    res = capacity(ball_mask(g, 0.5), Params(3, alpha, 1.05), "bessel", tol=tol)
+    assert runs and all(pre for _, pre, _, _ in runs)
+    assert res.converged and res.iterations <= 60
+    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+
+
 def test_scaled_inverse_without_scaling_where_fprime_vanishes():
-    # f' = 0 on all of F leaves S = I: the preconditioner is R_F K~^-2 E_F
+    # f' = 0 on all of F leaves S = I: the preconditioner is R_F K~^-2 E_F,
+    # with K~^-2 applied on the grid's own N torus
     g = Grid(1, 1.0, 64)
     table = riesz_kernel_table(g, 0.4)
     free = ball_mask(g, 0.3).members
@@ -214,7 +278,8 @@ def test_scaled_inverse_without_scaling_where_fprime_vanishes():
     prec = solver._scaled_inverse(table, free, np.zeros(g.shape))
     v = np.zeros(g.shape)
     v[free] = r
-    assert np.array_equal(prec(r), torus_convolve(v, table.inverse_square_rfft)[free])
+    expect = np.fft.irfft(np.fft.rfft(v) * table.inverse_square_rfft, g.points_per_axis)
+    assert np.array_equal(prec(r), expect[free])
 
 
 @pytest.mark.parametrize("kind", ["riesz", "bessel"])
@@ -251,8 +316,9 @@ def test_cg_step_beyond_direct_work_bound(monkeypatch):
     assert runs and all(pre for _, pre, _, _ in runs)
     assert res.converged
     assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
-    # on 256 nodes in 1D, Bessel s = 1.5, K~^-2 cut the steps of balls 0.3
-    # and 0.6 from 278 with the identity preconditioner to 57
+    # on 256 nodes in 1D, Bessel s = 1.5, K~^-2 on the N torus cut the steps
+    # of balls 0.3 and 0.6 from 201 with the identity preconditioner to 47
+    # (46 with K~^-2 on the 2N torus)
     g = Grid(1, 1.0, 256)
     P = Params(1, 0.4, 1.5)
     steps = plain_steps = 0
