@@ -1,22 +1,22 @@
-"""Set capacities, Choquet integrals, weighted quasi-norms, and the obstacle norm.
+"""Set capacities, Choquet integrals and the L^q(cap) quasi-norm.
 
 Every obstacle solve in the library goes through `_solve`, one obstacle or
-a stack of them at a time. On grids of at most 64 nodes the Choquet sweeps
-(`_choquet_integrals`, behind `choquet_integral`, `lq_cap_norm` and
-`_lq_cap_norms`) send the supports and sampled superlevel sets of all
-their fields as stacks of at most grid.size rows: `spaces.n_norm` sweeps
-the L^(s/r)(cap) norms of all its witnesses at once. Inside
-a solve scope (`solve_scope`, or a function decorated with `scoped`)
-`_solve` keeps a memo with one entry per obstacle row, so each distinct
-obstacle program is solved once per scope: Choquet sweeps of different
-fields often share superlevel sets, and the evaluators in `spaces` rebuild
-the same witnesses. The outermost public
-entry points open the scope: the six `spaces` evaluators, `verify`'s checks
-and `run_check`, and `cli.run`; nested calls join the open scope and the
-memo is dropped when the outermost call returns, so results stay a pure
-function of the call's inputs. Outside a scope nothing is memoized. The
-scope also counts, row by row, real solves, memo hits and solves that did
-not converge.
+a stack of them at a time, and every solver input is checked by one helper,
+`_check_solve`. `choquet_integral` and `lq_cap_norm` take one field or a
+list of fields on one grid: on grids of at most 64 nodes the sweep sends
+the supports and sampled superlevel sets of all the fields as stacks of at
+most grid.size rows, so `spaces.n_norm` sweeps the L^(s/r)(cap) norms of
+all its witnesses at once. Inside a solve scope (`solve_scope`, or a
+function decorated with `scoped`) `_solve` keeps a memo with one entry per
+obstacle row, so each distinct obstacle program is solved once per scope:
+Choquet sweeps of different fields often share superlevel sets, and the
+evaluators in `spaces` rebuild the same witnesses. The outermost public
+entry points open the scope: the evaluator frame `spaces._normalized`,
+`verify`'s checks and `run_check`, and `cli.run`; nested calls join the
+open scope and the memo is dropped when the outermost call returns, so
+results stay a pure function of the call's inputs. Outside a scope nothing
+is memoized. The scope also counts, row by row, real solves, memo hits and
+solves that did not converge.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import contextlib
 import contextvars
 import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -35,11 +36,9 @@ from .solver import DIRECT_MAX_WORK, ProgramResult, obstacle_program
 
 __all__ = [
     "CapacityResult",
-    "NormEstimate",
     "capacity",
     "choquet_integral",
     "lq_cap_norm",
-    "f_norm",
     "SolveScope",
     "solve_scope",
     "scoped",
@@ -66,36 +65,6 @@ class CapacityResult:
                 "converged": self.converged,
             }
         )
-
-
-@dataclass
-class NormEstimate:
-    """Two-sided estimate of a variational norm with the witness that attains upper."""
-
-    lower: float
-    upper: float
-    witness: Field | None = None
-    flags: tuple = ()
-    details: dict = dataclass_field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (0 <= self.lower <= self.upper * (1 + 1e-12) + 1e-300):
-            raise ValueError(f"invalid estimate: lower={self.lower}, upper={self.upper}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lower": self.lower,
-                "upper": self.upper,
-                "heuristic_flags": list(self.flags),
-                "witness_ref": None if self.witness is None else "inline",
-            }
-        )
-
-
-def _zero_estimate(grid) -> NormEstimate:
-    """The exact estimate of every norm at the zero function."""
-    return NormEstimate(0.0, 0.0, Field(grid, np.zeros(grid.shape), nonneg=True))
 
 
 @dataclass
@@ -143,6 +112,17 @@ def scoped(fn):
     return wrapper
 
 
+def _check_solve(params: Params, grid, kind: str, tol: float) -> None:
+    """Raise ValueError unless obstacle programs of (params, kind, tol) can be
+    posed on `grid`. The entry points call it before they return early on a
+    zero input, so that input is checked as a nonzero one is."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if params.n != grid.dim:
+        raise ValueError(f"params.n = {params.n} but the grid dimension is {grid.dim}")
+    params.validate_for(kind)
+
+
 def _solve(params: Params, grid, obstacle, kind: str, tol: float,
            warm=None) -> ProgramResult | list[ProgramResult]:
     """Solve the obstacle program of `obstacle` on the (grid, alpha, kind) table.
@@ -160,11 +140,7 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float,
     converged results are stored, and a stored result's arrays are
     read-only. Outside a scope every row solves.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if params.n != grid.dim:
-        raise ValueError(f"params.n = {params.n} but the grid dimension is {grid.dim}")
-    params.validate_for(kind)
+    _check_solve(params, grid, kind, tol)
     table = kernel_table(grid, params.alpha, kind)
     scope = _SCOPE.get()
     if scope is None:
@@ -225,17 +201,6 @@ def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
     )
 
 
-def choquet_integral(g: Field, params: Params, kind: str = "riesz", levels: int = 48,
-                     tol: float = 1e-6) -> float:
-    """Layer-cake integral of g >= 0 against the capacity of its superlevel sets.
-
-    Levels are log-spaced over (min positive value, max value], and the flat
-    piece below the smallest positive value uses the capacity of the support
-    exactly. The sweep is `_choquet_integrals` on the one field.
-    """
-    return _choquet_integrals(g.grid, g.values[None], params, kind, levels, tol)[0]
-
-
 def _layer_cake(vals: np.ndarray, levels: int):
     """The sampled superlevel thresholds of one field, and how to sum their capacities.
 
@@ -287,9 +252,15 @@ def _layer_sum(distinct: np.ndarray, idx: np.ndarray, values: list) -> float:
     return total
 
 
-def _choquet_integrals(grid, fields: np.ndarray, params: Params, kind: str, levels: int,
-                       tol: float) -> list[float]:
-    """`choquet_integral` of each grid-shaped row of `fields`, shape (M,) + grid.shape.
+def choquet_integral(g: Field | Sequence[Field], params: Params, kind: str = "riesz",
+                     levels: int = 48, tol: float = 1e-6) -> float | list[float]:
+    """Layer-cake integral of g >= 0 against the capacity of its superlevel sets.
+
+    `g` is one Field, giving a float, or a sequence of Fields on one grid,
+    giving a list with one integral per field; a sequence of no fields gives
+    [], and one on several grids raises ValueError. Levels are log-spaced
+    over (min positive value, max value], and the flat piece below the
+    smallest positive value uses the capacity of the support exactly.
 
     When every Newton step of the solver is a direct solve (grid.size^3 <=
     DIRECT_MAX_WORK, at most 64 nodes), the fixed cost of each call sets the
@@ -304,12 +275,21 @@ def _choquet_integrals(grid, fields: np.ndarray, params: Params, kind: str, leve
     """
     if levels < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
-    if np.any(fields < 0):
+    single = isinstance(g, Field)
+    fields = [g] if single else list(g)
+    if not fields:
+        return []
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("choquet_integral expects fields on one grid")
+    _check_solve(params, grid, kind, tol)
+    stack = np.stack([f.values for f in fields])
+    if np.any(stack < 0):
         raise ValueError("choquet_integral expects a nonnegative field")
-    cakes = [_layer_cake(vals, levels) for vals in fields]
-    swept = [(vals, cake) for vals, cake in zip(fields, cakes) if cake is not None]
+    cakes = [_layer_cake(vals, levels) for vals in stack]
+    swept = [(vals, cake) for vals, cake in zip(stack, cakes) if cake is not None]
     if not swept:
-        return [0.0] * len(fields)
+        return 0.0 if single else [0.0] * len(stack)
     if grid.size**3 <= DIRECT_MAX_WORK:
         sets = np.concatenate([vals > thresholds.reshape((-1,) + (1,) * grid.dim)
                                for vals, (thresholds, _, _) in swept]).astype(float)
@@ -335,75 +315,26 @@ def _choquet_integrals(grid, fields: np.ndarray, params: Params, kind: str, leve
         thresholds, distinct, idx = cake
         totals.append(_layer_sum(distinct, idx, caps[start:start + len(thresholds)]))
         start += len(thresholds)
-    return totals
+    return totals[0] if single else totals
 
 
-def lq_cap_norm(u: Field, q: float, params: Params, kind: str = "riesz",
-                levels: int = 48, tol: float = 1e-6) -> float:
+def lq_cap_norm(u: Field | Sequence[Field], q: float, params: Params, kind: str = "riesz",
+                levels: int = 48, tol: float = 1e-6) -> float | list[float]:
     """Choquet L^q quasi-norm: the layer cake of |u|^q, to the power 1/q.
 
-    The input is sup-normalized first so absolute homogeneity is exact.
+    `u` is one Field or a sequence of Fields on one grid, as in
+    `choquet_integral`, which sweeps their superlevel sets together. Each
+    input is sup-normalized first so absolute homogeneity is exact.
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
-    if levels < 1:
-        raise ValueError(f"levels must be at least 1, got {levels}")
-    scale = float(np.max(np.abs(u.values)))
-    if scale == 0.0:
-        return 0.0
-    absq = Field(u.grid, (np.abs(u.values) / scale) ** q, nonneg=True)
-    # through this module's `choquet_integral`, whose binding perfbench's
-    # tracer wraps; `_lq_cap_norms` is the same norm on a stack of fields
-    layer = choquet_integral(absq, params, kind, levels=levels, tol=tol)
-    return scale * layer ** (1.0 / q)
-
-
-def _lq_cap_norms(grid, fields: np.ndarray, q: float, params: Params, kind: str,
-                  levels: int, tol: float) -> list[float]:
-    """`lq_cap_norm` of each grid-shaped row of `fields`, their superlevel sets
-    solved together by `_choquet_integrals`."""
-    if not q > 0:
-        raise ValueError(f"q must be positive, got {q}")
-    scales = [float(np.max(np.abs(u))) for u in fields]
-    # a zero row stays zero, and its norm is 0 * 0
-    layers = _choquet_integrals(grid, np.stack([(np.abs(u) / (scale or 1.0)) ** q
-                                                for u, scale in zip(fields, scales)]),
-                                params, kind, levels, tol)
-    return [scale * layer ** (1.0 / q) for scale, layer in zip(scales, layers)]
-
-
-def f_norm(u: Field, params: Params, kind: str = "riesz", tol: float = 1e-6) -> NormEstimate:
-    """Obstacle-form norm: inf of the r-th power of the L^s norm of f >= 0 whose
-    potential dominates |u|^(1/r) at every node.
-
-    The unique extremal is returned as witness; lower comes from the certified
-    dual bound of the same program. The program is solved on the obstacle
-    (|u| / max|u|)^(1/r), as `lq_cap_norm` sup-normalizes, so its tolerances
-    are relative and its powers stay in range; with M = max|u|^(1/r) the
-    extremal is then scaled by M, the gap by M^s and the bounds by M^r =
-    max|u|. Raises ValueError when M^s overflows.
-    """
-    if params.r is None:
-        raise ValueError("params.r must be set for f_norm")
-    r = params.r
-    vals = np.abs(u.values)
-    amp = float(np.max(vals))
-    if amp == 0.0:
-        return _zero_estimate(u.grid)
-    res = _solve(params, u.grid, (vals / amp) ** (1.0 / r), kind, tol)
-    M = amp ** (1.0 / r)
-    try:
-        gap = res.gap * M**params.s
-    except OverflowError:
-        raise ValueError(f"f_norm: max|u| = {amp:g} puts the program's value beyond the "
-                         f"float range") from None
-    power = r / params.s
-    upper = amp * res.value**power
-    lower = amp * max(res.dual_value, 0.0) ** power
-    return NormEstimate(
-        lower=min(lower, upper),
-        upper=upper,
-        witness=Field(u.grid, M * res.extremal, nonneg=True),
-        details={"residual": res.residual, "gap": gap, "iterations": res.iterations,
-                 "converged": res.converged},
-    )
+    single = isinstance(u, Field)
+    fields = [u] if single else list(u)
+    scales = [float(np.max(np.abs(f.values))) for f in fields]
+    # a zero field stays zero, and its norm is 0 * 0; the sweep goes through
+    # this module's `choquet_integral`, whose binding perfbench's tracer wraps
+    layers = choquet_integral([Field(f.grid, (np.abs(f.values) / (scale or 1.0)) ** q,
+                                     nonneg=True) for f, scale in zip(fields, scales)],
+                              params, kind, levels, tol)
+    norms = [scale * layer ** (1.0 / q) for scale, layer in zip(scales, layers)]
+    return norms[0] if single else norms

@@ -27,12 +27,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .capacity import capacity, choquet_integral, f_norm, lq_cap_norm, solve_scope
+from .capacity import capacity, choquet_integral, lq_cap_norm, solve_scope
 from .families import DEFAULT_FAMILY_SEED
 from .grid import (Field, Grid, Mask, Params, annulus_mask, ball_mask, cube_mask,
                    field_from_json, field_to_json, mask_from_json)
 from .potentials import Measure, potential, wolff_potential
-from .spaces import (beta_functional, kv_norm, lambda_functional, m_norm, n_norm,
+from .spaces import (beta_functional, f_norm, kv_norm, lambda_functional, m_norm, n_norm,
                      otilde_norm)
 from .verify import CHECK_NAMES, refinement_study, report_to_csv, report_to_json, run_check
 

@@ -7,33 +7,37 @@ nonconvex; alternating reweighting refines the upper bound only, and lower
 bounds that would require the papers' implicit constants are flagged
 'heuristic-lower' and excluded from hard assertions.
 
-Each evaluator checks its input and returns through one frame, `_normalized`,
-which runs its body on |f| / max|f| and rescales the result by max|f|: the
-witness by max|f| to the evaluator's witness degree (0 for the weights and test
-functions of m, O-tilde and n; 1 for the majorants of kv, lambda and beta). So
-absolute homogeneity holds exactly and witnesses are in the units of the input.
-Each evaluator runs in a solve scope (see `capacity`), so an obstacle program
-it meets twice is solved once.
+The seven evaluators (m, O-tilde, kv, n, f, lambda and beta) check their
+input and return through one frame, `_normalized`. It checks the solver
+inputs (`capacity._check_solve`), for a zero input too, whose estimate is
+exact; else it runs the evaluator's body on |f| / max|f| in a solve scope
+(see `capacity`), so an obstacle program met twice is solved once, and
+rescales the bounds by max|f| and the witness by max|f| to the evaluator's
+witness degree: 0 for the weights and test functions of m, O-tilde and n,
+1 for the majorants of kv, lambda and beta, 1/r for the extremal of f. So
+absolute homogeneity holds exactly and witnesses are in the input's units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import json
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 # the Wolff potential and the maximal function are called through their
 # modules, whose attributes perfbench's tracer patches to count the calls
 from . import maximal, potentials
-from .capacity import (NormEstimate, choquet_integral, lq_cap_norm, scoped, _lq_cap_norms,
-                       _solve, _zero_estimate)
+from .capacity import choquet_integral, lq_cap_norm, solve_scope, _check_solve, _solve
 from .families import DEFAULT_FAMILY_SEED, field_family
 from .grid import Field, Grid, Params, integrate, lp_norm
 from .maximal import a1_constant
 from .potentials import Measure, potential
 
 __all__ = [
+    "NormEstimate",
     "WeightWitness",
+    "f_norm",
     "m_norm",
     "otilde_norm",
     "kv_norm",
@@ -52,19 +56,48 @@ _N_ROUNDS = 3
 
 
 @dataclass
+class NormEstimate:
+    """Two-sided estimate of a variational norm with the witness that attains upper."""
+
+    lower: float
+    upper: float
+    witness: Field | None = None
+    flags: tuple = ()
+    details: dict = dataclass_field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (0 <= self.lower <= self.upper * (1 + 1e-12) + 1e-300):
+            raise ValueError(f"invalid estimate: lower={self.lower}, upper={self.upper}")
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "lower": self.lower,
+                "upper": self.upper,
+                "heuristic_flags": list(self.flags),
+                "witness_ref": None if self.witness is None else "inline",
+            }
+        )
+
+
+@dataclass
 class WeightWitness:
     weight: Field
     a1_value: float | None
     construction: str
 
 
-def _normalized(f: Field, unit, witness_degree: int) -> NormEstimate:
-    """The zero estimate if f = 0; else `unit(|f| / scale, scale)` with scale =
-    max|f|, its bounds multiplied by scale and its witness by scale**witness_degree."""
+def _normalized(f: Field, params: Params, kind: str, tol: float, unit,
+                witness_degree: float) -> NormEstimate:
+    """Check the solver inputs; then the zero estimate if f = 0, else
+    `unit(|f| / scale, scale)` in a solve scope, with scale = max|f|, its
+    bounds multiplied by scale and its witness by scale**witness_degree."""
+    _check_solve(params, f.grid, kind, tol)
     scale = float(np.max(np.abs(f.values)))
     if scale == 0.0:
-        return _zero_estimate(f.grid)
-    est = unit(np.abs(f.values) / scale, scale)
+        return NormEstimate(0.0, 0.0, Field(f.grid, np.zeros(f.grid.shape), nonneg=True))
+    with solve_scope():
+        est = unit(np.abs(f.values) / scale, scale)
     witness = est.witness
     if witness_degree:
         witness = Field(f.grid, witness.values * scale**witness_degree, nonneg=True)
@@ -151,7 +184,6 @@ def _dyadic_cube_ratio(f_pow: np.ndarray, grid: Grid, params: Params, kind: str,
     return best, best_size
 
 
-@scoped
 def m_norm(f: Field, params: Params, kind: str = "riesz", budget: int = 32,
            seed: int = DEFAULT_FAMILY_SEED, tol: float = 1e-6,
            levels: int = 32) -> NormEstimate:
@@ -200,7 +232,7 @@ def m_norm(f: Field, params: Params, kind: str = "riesz", budget: int = 32,
             flags = flags + ("clipped-to-lower",)
         return NormEstimate(lower, upper, best_h, flags, details)
 
-    return _normalized(f, unit, 0)
+    return _normalized(f, params, kind, tol, unit, 0)
 
 
 # -- weighted O-type norm -------------------------------------------------------
@@ -215,7 +247,6 @@ def _otilde_objective(g_abs: np.ndarray, w: np.ndarray, q: float, s: float,
     return float((cell * np.sum(g_abs[nz] ** s * w[nz] ** (q - s))) ** (1.0 / s))
 
 
-@scoped
 def otilde_norm(g: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
                 levels: int = 32, max_rounds: int = 4) -> NormEstimate:
     """Infimum over unit-L^q(cap) weights w of the w-weighted s-integral of g.
@@ -259,7 +290,7 @@ def otilde_norm(g: Field, params: Params, kind: str = "riesz", tol: float = 1e-6
         check = lq_cap_norm(witness, q, params, kind, levels=levels, tol=tol)
         return _heuristic_lower(upper, witness, witness_lq_cap_norm=check)
 
-    return _normalized(g, unit, 0)
+    return _normalized(g, params, kind, tol, unit, 0)
 
 
 # -- Kalton-Verbitsky norm ------------------------------------------------------
@@ -275,7 +306,6 @@ def _kv_objective(h: np.ndarray, grid: Grid, params: Params, kind: str) -> float
     return float((grid.cell_volume * np.sum(integrand)) ** (1.0 / q))
 
 
-@scoped
 def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
             levels: int = 32) -> NormEstimate:
     """Infimum over majorants h >= |f| of the mixed s-q integral of h and its
@@ -319,12 +349,11 @@ def kv_norm(f: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
                 step *= 0.5
         return _heuristic_lower(upper, Field(grid, best_h, nonneg=True))
 
-    return _normalized(f, unit, 1)
+    return _normalized(f, params, kind, tol, unit, 1)
 
 
 # -- weighted N-type norm -------------------------------------------------------
 
-@scoped
 def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain",
            tol: float = 1e-6, levels: int = 32, budget: int = 8,
            seed: int = DEFAULT_FAMILY_SEED) -> NormEstimate:
@@ -354,8 +383,8 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
         if variant == "plain":
             built.append((ghat, "custom"))   # with_a1 is False here
         # every witness's L^(s/r)(cap) norm in one stacked sweep
-        norms = _lq_cap_norms(grid, np.stack([raw for raw, _ in built]), s / r, params, kind,
-                              levels, tol)
+        norms = lq_cap_norm([Field(grid, raw) for raw, _ in built], s / r, params, kind,
+                            levels=levels, tol=tol)
         witnesses = [_weight_witness(grid, raw, nrm, construction, kind, with_a1)
                      for (raw, construction), nrm in zip(built, norms)]
         best, upper = _best(witnesses, objective)
@@ -378,7 +407,43 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
         return _heuristic_lower(upper, best.weight, witness_lq_cap_norm=check,
                                 witness_a1=best.a1_value, construction=best.construction)
 
-    return _normalized(g, unit, 0)
+    return _normalized(g, params, kind, tol, unit, 0)
+
+
+# -- obstacle-form norm ---------------------------------------------------------
+
+def f_norm(u: Field, params: Params, kind: str = "riesz", tol: float = 1e-6) -> NormEstimate:
+    """Obstacle-form norm: inf of the r-th power of the L^s norm of f >= 0 whose
+    potential dominates |u|^(1/r) at every node.
+
+    The unique extremal is returned as witness; lower comes from the certified
+    dual bound of the same program. The frame solves the program on the
+    obstacle (|u| / max|u|)^(1/r), so its tolerances are relative and its
+    powers stay in range; with M = max|u|^(1/r) the extremal is then scaled
+    by M (witness degree 1/r), the gap by M^s and the bounds by M^r = max|u|.
+    Raises ValueError when M^s overflows.
+    """
+    if params.r is None:
+        raise ValueError("params.r must be set for f_norm")
+    r, s = params.r, params.s
+
+    def unit(uhat, scale):
+        res = _solve(params, u.grid, uhat ** (1.0 / r), kind, tol)
+        try:
+            gap = res.gap * (scale ** (1.0 / r)) ** s
+        except OverflowError:
+            raise ValueError(f"f_norm: max|u| = {scale:g} puts the program's value beyond "
+                             f"the float range") from None
+        upper = res.value ** (r / s)
+        return NormEstimate(
+            lower=min(max(res.dual_value, 0.0) ** (r / s), upper),
+            upper=upper,
+            witness=Field(u.grid, res.extremal, nonneg=True),
+            details={"residual": res.residual, "gap": gap, "iterations": res.iterations,
+                     "converged": res.converged},
+        )
+
+    return _normalized(u, params, kind, tol, unit, 1.0 / r)
 
 
 # -- lambda / beta functionals --------------------------------------------------
@@ -407,7 +472,6 @@ def _majorants(uhat: np.ndarray, params: Params, kind: str, grid: Grid,
     return majorants
 
 
-@scoped
 def lambda_functional(u: Field, params: Params, kind: str = "riesz",
                       tol: float = 1e-6, levels: int = 32) -> NormEstimate:
     """Least O-norm of a nonnegative f whose potential dominates |u| at nodes."""
@@ -420,10 +484,9 @@ def lambda_functional(u: Field, params: Params, kind: str = "riesz",
                                                   tol=tol, levels=levels, max_rounds=2).upper)
         return _heuristic_lower(upper, Field(grid, best, nonneg=True))
 
-    return _normalized(u, unit, 1)
+    return _normalized(u, params, kind, tol, unit, 1)
 
 
-@scoped
 def beta_functional(u: Field, params: Params, kind: str = "riesz",
                     tol: float = 1e-6, levels: int = 32) -> NormEstimate:
     """Least mixed s-q integral of such a majorizing f."""
@@ -435,4 +498,4 @@ def beta_functional(u: Field, params: Params, kind: str = "riesz",
                             lambda f: _kv_objective(f, grid, params, kind))
         return _heuristic_lower(upper, Field(grid, best, nonneg=True))
 
-    return _normalized(u, unit, 1)
+    return _normalized(u, params, kind, tol, unit, 1)

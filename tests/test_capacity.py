@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
-from capax.capacity import (NormEstimate, capacity, choquet_integral, f_norm, lq_cap_norm,
-                            solve_scope, _choquet_integrals, _lq_cap_norms, _solve)
+from capax.capacity import capacity, choquet_integral, lq_cap_norm, solve_scope, _solve
 from capax.families import field_family
 from capax.kernels import kernel_table
 from capax.potentials import potential
 from capax.solver import obstacle_program
-from capax.spaces import n_norm
+from capax.spaces import NormEstimate, f_norm, n_norm
 
 
 def test_empty_set_capacity(g64, params):
@@ -220,14 +219,13 @@ def test_stacked_sweeps_match_one_field_calls(N, params, solve_calls):
     # own order; on 128 each field keeps its own warm chain, so the values
     # are the one-field calls' exactly
     g = Grid(1, 1.0, N)
-    fields = [np.abs(f.values) for f in field_family("mixed", 5, 6, g)]
-    fields.insert(2, np.zeros(g.shape))
-    stack = np.stack(fields)
-    caps = _choquet_integrals(g, stack, params, "riesz", 16, 1e-6)
+    fields = [Field(g, np.abs(f.values), nonneg=True) for f in field_family("mixed", 5, 6, g)]
+    fields.insert(2, Field(g, np.zeros(g.shape), nonneg=True))
+    caps = choquet_integral(fields, params, levels=16)
     rows = len(solve_calls)
-    norms = _lq_cap_norms(g, stack, 1.5, params, "riesz", 16, 1e-6)
-    alone_caps = [choquet_integral(Field(g, f, nonneg=True), params, levels=16) for f in fields]
-    alone_norms = [lq_cap_norm(Field(g, f, nonneg=True), 1.5, params, levels=16) for f in fields]
+    norms = lq_cap_norm(fields, 1.5, params, levels=16)
+    alone_caps = [choquet_integral(f, params, levels=16) for f in fields]
+    alone_norms = [lq_cap_norm(f, 1.5, params, levels=16) for f in fields]
     assert caps[2] == norms[2] == 0.0
     if N == 128:
         assert caps == alone_caps and norms == alone_norms
@@ -235,6 +233,16 @@ def test_stacked_sweeps_match_one_field_calls(N, params, solve_calls):
         assert rows > N    # more rows than one stack takes
         for got, want in zip(caps + norms, alone_caps + alone_norms):
             assert abs(got - want) <= 1e-14 * want
+
+
+def test_field_lists_share_one_grid(params):
+    g32, g64 = Grid(1, 1.0, 32), Grid(1, 1.0, 64)
+    mixed = [Field(g32, np.ones(g32.shape)), Field(g64, np.ones(g64.shape))]
+    for sweep in (lambda u: choquet_integral(u, params, levels=4),
+                  lambda u: lq_cap_norm(u, 1.5, params, levels=4)):
+        with pytest.raises(ValueError, match="one grid"):
+            sweep(mixed)
+        assert sweep([]) == []
 
 
 def test_choquet_monotone(g64, params):
@@ -407,8 +415,10 @@ def test_memo_does_not_leak_between_calls(g64, params, solve_calls):
     assert first > 0 and len(solve_calls) == 2 * first
     assert (a.lower, a.upper) == (b.lower, b.upper)
     solve_calls.clear()
-    n_norm.__wrapped__(g, P, levels=16, budget=4)    # no scope: every repeat re-solves
-    assert len(solve_calls) > first
+    with solve_scope() as scope:    # the call joins an open scope
+        n_norm(g, P, levels=16, budget=4)
+    # each memo hit is a repeat that a call without the memo would solve again
+    assert len(solve_calls) == scope.solves == first and scope.memo_hits > 0
 
 
 def test_memoized_result_is_read_only(g64, params):

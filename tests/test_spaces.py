@@ -3,13 +3,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from capax.grid import Field, Grid, Params, ball_mask
-from capax.capacity import capacity, lq_cap_norm, _solve
+from capax.capacity import capacity, choquet_integral, lq_cap_norm, _solve
+from capax.families import field_family
 from capax.potentials import potential
 from capax.spaces import (_dyadic_cube_ratio, _kv_objective, _majorants, _otilde_objective,
                           a1_weight_witness,
-                          beta_functional, kv_norm, lambda_functional, m_norm, n_norm,
+                          beta_functional, f_norm, kv_norm, lambda_functional, m_norm, n_norm,
                           otilde_norm)
 
 
@@ -54,6 +56,88 @@ def test_input_checks_run_before_zero_return(g64, evaluator, params, kwargs, mes
     z = Field(g64, np.zeros(g64.shape))
     with pytest.raises(ValueError, match=rf"^{message}$"):
         evaluator(z, params, **kwargs)
+
+
+@pytest.mark.parametrize("params, kind, tol, match", [
+    (Params(2, 0.7, 2.0, q=1.5, p=2.0, r=1.0), "riesz", 1e-6, "grid dimension"),
+    (P_RL, "foo", 1e-6, "'foo'"),
+    (P_RL, "riesz", 0.0, "tol must be positive"),
+], ids=["dimension", "kind", "tol"])
+def test_zero_input_is_checked_as_a_nonzero_one(g64, params, kind, tol, match):
+    # the zero shortcuts used to return before any solve checked its inputs
+    z = Field(g64, np.zeros(g64.shape))
+    calls = [lambda: choquet_integral(z, params, kind, tol=tol),
+             lambda: lq_cap_norm(z, 1.5, params, kind, tol=tol),
+             lambda: lq_cap_norm([z, z], 1.5, params, kind, tol=tol)]
+    calls += [lambda ev=ev: ev(z, params, kind, tol=tol)
+              for ev in (m_norm, otilde_norm, kv_norm, n_norm, f_norm, lambda_functional,
+                         beta_functional)]
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+_G32 = Grid(1, 1.0, 32)
+# the first four mixed fields stay normal floats at every scale 2^k below
+_FIELDS = field_family("mixed", 5, 4, _G32)
+_SCALED = {   # test id -> (evaluator, params, keywords)
+    "m_norm": (m_norm, P_RL, dict(budget=2, levels=8)),
+    "otilde_norm": (otilde_norm, P_Q, dict(levels=8, max_rounds=1)),
+    "kv_norm": (kv_norm, P_Q, dict(levels=8)),
+    "n_norm": (n_norm, P_RL, dict(budget=2, levels=8)),
+    "f_norm": (f_norm, P_RL, {}),
+    "f_norm_r1.3": (f_norm, P_RL.replace(r=1.3), {}),
+    "lambda_functional": (lambda_functional, P_Q, dict(levels=8)),
+    "beta_functional": (beta_functional, P_Q, dict(levels=8)),
+}
+
+
+@pytest.fixture(scope="module")
+def unscaled():
+    """Bounds or values at scale 1, computed once per input: key -> result."""
+    return {}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALED))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(k=st.integers(-900, 900), j=st.integers(0, len(_FIELDS) - 1))
+@example(k=-900, j=3).via("the smallest scale")
+@example(k=900, j=3).via("the largest scale")
+def test_power_of_two_scaling_is_exact(unscaled, name, k, j):
+    # the frame solves every program on |f| / max|f|, which a factor 2^k
+    # leaves bit for bit, so the bounds scale by exactly 2^k
+    evaluator, params, kw = _SCALED[name]
+
+    def bounds(f):
+        est = evaluator(f, params, **kw)
+        return est.lower, est.upper
+
+    f = _FIELDS[j]
+    if (name, j) not in unscaled:
+        unscaled[name, j] = bounds(f)
+    lower, upper = unscaled[name, j]
+    scaled = Field(_G32, math.ldexp(1.0, k) * f.values, nonneg=True)
+    if evaluator is f_norm:
+        try:   # the program's value, (max|u|^(1/r))^s, must be a float
+            (float(np.max(scaled.values)) ** (1.0 / params.r)) ** params.s
+        except OverflowError:
+            with pytest.raises(ValueError, match="float range"):
+                bounds(scaled)
+            return
+    assert bounds(scaled) == (math.ldexp(lower, k), math.ldexp(upper, k))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(k=st.integers(-900, 900))
+@example(k=-900).via("the smallest scale")
+@example(k=900).via("the largest scale")
+def test_power_of_two_scaling_of_lq_cap_norm_lists(unscaled, k):
+    fields = _FIELDS + [Field(_G32, np.zeros(_G32.shape))]
+    if "lq_cap_norm" not in unscaled:
+        unscaled["lq_cap_norm"] = lq_cap_norm(fields, 1.5, P_Q, levels=8)
+    scaled = [Field(_G32, math.ldexp(1.0, k) * f.values) for f in fields]
+    got = lq_cap_norm(scaled, 1.5, P_Q, levels=8)
+    assert got == [math.ldexp(v, k) for v in unscaled["lq_cap_norm"]]
 
 
 def test_exact_homogeneity_all_evaluators(g64):

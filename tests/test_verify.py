@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from capax.capacity import NormEstimate
+from capax.spaces import NormEstimate
 from capax.grid import Field, Grid, Params
 from capax.families import DEFAULT_FAMILY_SEED, field_family, measure_family
 from capax.potentials import Measure, wolff_at_points
