@@ -290,7 +290,8 @@ def _verify(cfg: RunConfig) -> list:
         raise ValueError("verify needs --check")
     grid = cfg.grid()
     params = cfg.params(grid)
-    # the check registry passes each check only the keywords it takes
+    # the exponents are all in params; the check registry passes each check
+    # only the keywords it takes
     kw = {"t": cfg.t, "R": math.inf if cfg.R is None else cfg.R}
     if cfg.refine is not None:
         Ns = [int(x) for x in cfg.refine.split(",") if x]

@@ -7,7 +7,7 @@ Everything outside the box is treated as zero.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace as dataclass_replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,8 +44,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if self.points_per_axis < 8 or not _is_power_of_two(self.points_per_axis):
             raise ValueError(
                 f"points_per_axis must be a power of two >= 8, got {self.points_per_axis}"
@@ -185,7 +185,7 @@ class Params:
 
     Constraints: s > 1 and 0 < alpha <= n/s (strict inequality required for the
     homogeneous Riesz kernel; equality admitted only in the Bessel case).
-    Optional exponents are validated when present: q >= 1, p > 1, 0 < r <= s.
+    Optional exponents are validated when present: finite q >= 1 and p > 1, 0 < r <= s.
     """
 
     n: int
@@ -204,10 +204,10 @@ class Params:
             raise ValueError(
                 f"alpha must lie in (0, n/s] = (0, {self.n / self.s}], got {self.alpha}"
             )
-        if self.q is not None and not self.q >= 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.p is not None and not self.p > 1:
-            raise ValueError(f"p must exceed 1, got {self.p}")
+        if self.q is not None and not 1 <= self.q < np.inf:
+            raise ValueError(f"q must be finite and >= 1, got {self.q}")
+        if self.p is not None and not 1 < self.p < np.inf:
+            raise ValueError(f"p must be finite and exceed 1, got {self.p}")
         if self.r is not None and not 0 < self.r <= self.s:
             raise ValueError(f"r must lie in (0, s], got {self.r}")
 
@@ -229,9 +229,6 @@ class Params:
         if self.p is None:
             raise ValueError("p not set")
         return self.p / (self.p - 1.0)
-
-    def replace(self, **kw) -> "Params":
-        return dataclass_replace(self, **kw)
 
 
 def integrate(f: Field) -> float:

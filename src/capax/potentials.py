@@ -122,7 +122,7 @@ def _wolff_eval(mu: Measure, alpha: float, s: float, R: float,
         raise ValueError("R must be positive")
 
     on_grid = points is None
-    pts = grid.nodes if on_grid else np.atleast_2d(np.asarray(points, dtype=float))
+    pts = grid.nodes if on_grid else points
     P = pts.shape[0]
 
     t0 = h / 2.0
@@ -206,5 +206,8 @@ def wolff_potential(mu: Measure, alpha: float, s: float, R: float = math.inf) ->
 
 def wolff_at_points(mu: Measure, alpha: float, s: float, points,
                     R: float = math.inf) -> np.ndarray:
-    """Same integral evaluated at arbitrary points (e.g. on supp(mu))."""
-    return _wolff_eval(mu, alpha, s, R, np.asarray(points, dtype=float))
+    """Same integral at arbitrary points, shape (P, grid dimension), e.g. on supp(mu)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != mu.grid.dim:
+        raise ValueError(f"points must have shape (P, {mu.grid.dim}), got {pts.shape}")
+    return _wolff_eval(mu, alpha, s, R, pts)

@@ -472,30 +472,27 @@ def _majorants(uhat: np.ndarray, params: Params, kind: str, grid: Grid,
     return majorants
 
 
+def _least_majorant(u: Field, params: Params, kind: str, tol: float, objective) -> NormEstimate:
+    """The least objective(f) over the `_majorants` f of |u| / max|u|, in the
+    evaluators' frame, with that f as witness."""
+    def unit(uhat, scale):
+        best, upper = _best(_majorants(uhat, params, kind, u.grid, tol), objective)
+        return _heuristic_lower(upper, Field(u.grid, best, nonneg=True))
+
+    return _normalized(u, params, kind, tol, unit, 1)
+
+
 def lambda_functional(u: Field, params: Params, kind: str = "riesz",
                       tol: float = 1e-6, levels: int = 32) -> NormEstimate:
     """Least O-norm of a nonnegative f whose potential dominates |u| at nodes."""
     params.q_below_s("lambda_functional")
-    grid = u.grid
-
-    def unit(uhat, scale):
-        best, upper = _best(_majorants(uhat, params, kind, grid, tol),
-                            lambda f: otilde_norm(Field(grid, f, nonneg=True), params, kind,
-                                                  tol=tol, levels=levels, max_rounds=2).upper)
-        return _heuristic_lower(upper, Field(grid, best, nonneg=True))
-
-    return _normalized(u, params, kind, tol, unit, 1)
+    return _least_majorant(u, params, kind, tol, lambda f: otilde_norm(
+        Field(u.grid, f, nonneg=True), params, kind, tol=tol, levels=levels, max_rounds=2).upper)
 
 
 def beta_functional(u: Field, params: Params, kind: str = "riesz",
                     tol: float = 1e-6, levels: int = 32) -> NormEstimate:
     """Least mixed s-q integral of such a majorizing f."""
     params.q_below_s("beta_functional")
-    grid = u.grid
-
-    def unit(uhat, scale):
-        best, upper = _best(_majorants(uhat, params, kind, grid, tol),
-                            lambda f: _kv_objective(f, grid, params, kind))
-        return _heuristic_lower(upper, Field(grid, best, nonneg=True))
-
-    return _normalized(u, params, kind, tol, unit, 1)
+    return _least_majorant(u, params, kind, tol,
+                           lambda f: _kv_objective(f, u.grid, params, kind))

@@ -12,6 +12,10 @@ degenerate input is a skipped sample (`_skip`). A ratio sample (`_ratio`)
 skips 0/0 and makes positive/0 an infinite ratio, which fails hard. A band
 sample (`_band`) is the max/min of positive quantities; a quantity that is not
 positive makes the band infinite, again a hard failure.
+
+A check reads its exponents from its `Params` alone and runs on the family it
+is given; `run_check` builds the default family, and a rescaled one is the
+caller's to build.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ def check_adams(params: Params, fields, kind: str = "riesz",
         integrand = np.where(vals > 0, vals**params.s * v ** (q - params.s), 0.0)
         return _ratio(i, lhs, integrate(Field(f.grid, integrand)))
 
-    return _report("adams", params.replace(q=q), seed, fields, sample)
+    return _report("adams", replace(params, q=q), seed, fields, sample)
 
 
 @scoped
@@ -136,7 +140,7 @@ def check_csim(params: Params, fields, kind: str = "riesz",
                seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                tol: float = 1e-6) -> ConstantReport:
     """Maz'ya-type strong inequality: the q = s case of the same computation."""
-    rep = check_adams(params.replace(q=params.s), fields, kind, seed, levels, tol)
+    rep = check_adams(replace(params, q=params.s), fields, kind, seed, levels, tol)
     rep.inequality_id = "csim"
     return rep
 
@@ -231,33 +235,14 @@ def check_boundedness(params: Params, mu_family, R: float = math.inf,
                    R=None if math.isinf(R) else R, factor=factor)
 
 
-def _nearest_node_index(grid: Grid, pos) -> tuple:
-    return tuple(
-        int(np.clip(np.rint((pos[d] + grid.half_width) / grid.spacing - 0.5),
-                    0, grid.points_per_axis - 1))
-        for d in range(grid.dim)
-    )
-
-
-def _measure_pairing(mu: Measure, values: np.ndarray) -> float:
-    """integral of a grid function against mu (atoms read the nearest node)."""
-    total = 0.0
-    grid = mu.grid
-    if mu.atoms:
-        for pos, mass in zip(mu.atom_positions, mu.atom_masses):
-            total += float(mass) * float(values[_nearest_node_index(grid, pos)])
-    if mu.density is not None:
-        total += integrate(Field(grid, values * mu.density.values))
-    return float(total)
-
-
 def _deposited_density(mu: Measure) -> np.ndarray:
-    """Grid density of mu: the density part plus each atom on its nearest node
-    as mass / cell volume (the node `_measure_pairing` reads for that atom)."""
+    """Grid density of mu: the density part plus each atom as mass / cell volume
+    on its nearest node. The integral of v dmu is that of v times this density."""
     grid = mu.grid
     dens = np.zeros(grid.shape) if mu.density is None else mu.density.values.copy()
     for pos, mass in zip(mu.atom_positions, mu.atom_masses):
-        dens[_nearest_node_index(grid, pos)] += float(mass) / grid.cell_volume
+        node = np.rint((pos + grid.half_width) / grid.spacing - 0.5).astype(int)
+        dens[tuple(np.clip(node, 0, grid.points_per_axis - 1))] += float(mass) / grid.cell_volume
     return dens
 
 
@@ -300,19 +285,23 @@ def check_upper_tri(params: Params, mu_family, kind: str = "riesz",
     def sample(i, mu):
         if mu.total_mass <= 0:
             return _skip(i, "zero measure")
+        dens = _deposited_density(mu)
+
+        def pairing(v):   # the integral of v dmu
+            return integrate(Field(grid, v * dens))
+
         w = wolff_potential(mu, params.alpha, s, wolff_R).values
-        w_pairing = _measure_pairing(mu, w**mu_exp)
+        w_pairing = pairing(w**mu_exp)
         w_choquet = choquet_integral(Field(grid, w**cap_exp, nonneg=True), params, kind,
                                      levels=levels, tol=tol)
 
-        traces = [_measure_pairing(mu, v**r) for v in cand_pot]
-        i_mu = potential(Field(grid, _deposited_density(mu), nonneg=True),
-                         params.alpha, kind).values
+        traces = [pairing(v**r) for v in cand_pot]
+        i_mu = potential(Field(grid, dens, nonneg=True), params.alpha, kind).values
         hn = _l_s_normalized(Field(grid, i_mu ** (1.0 / (s - 1.0)), nonneg=True), s)
         if hn is not None:
-            traces.append(_measure_pairing(mu, potential(hn, params.alpha, kind).values**r))
+            traces.append(pairing(potential(hn, params.alpha, kind).values**r))
 
-        pairings = [_measure_pairing(mu, u) for u in cand_unit]
+        pairings = [pairing(u) for u in cand_unit]
         u_nrm = w_choquet ** (r / s)
         if u_nrm > 0:
             pairings.append(w_pairing / u_nrm)
@@ -332,7 +321,7 @@ def check_wolff_weak(mu: Measure, t: float, params: Params, kind: str = "riesz",
     if not t > 0:
         raise ValueError("t must be positive")
     w = wolff_potential(mu, params.alpha, params.s).values
-    rhs = t ** (1.0 - params.s) * _measure_pairing(mu, w > t)
+    rhs = t ** (1.0 - params.s) * integrate(Field(mu.grid, (w > t) * _deposited_density(mu)))
 
     def sample(i, a):
         mask = w > a * t
@@ -400,34 +389,28 @@ def check_main3(params: Params, pair_family, kind: str = "riesz",
 
 # -- check registry, refinement, and serialization -------------------------------
 
-def _fields(params, grid, kind, seed, count, levels, tol, scale) -> list:
-    fam = field_family("mixed", seed, count, grid)
-    if scale == 1.0:
-        return fam
-    return [Field(grid, scale * f.values, nonneg=True) for f in fam]
+def _fields(params, grid, kind, seed, count, levels, tol) -> list:
+    return field_family("mixed", seed, count, grid)
 
 
 def _measures(name: str):
-    def build(params, grid, kind, seed, count, levels, tol, scale) -> list:
-        mus = measure_family(name, seed, count, grid)
-        return mus if scale == 1.0 else [m.scaled(scale) for m in mus]
+    def build(params, grid, kind, seed, count, levels, tol) -> list:
+        return measure_family(name, seed, count, grid)
     return build
 
 
-def _main2_family(params, grid, kind, seed, count, levels, tol, scale) -> list:
-    pairs = main2_pairs(grid, params, count, kind, seed, levels, tol)
-    return [(Field(grid, scale * f.values, nonneg=True), w) for f, w in pairs]
+def _main2_family(params, grid, kind, seed, count, levels, tol) -> list:
+    return main2_pairs(grid, params, count, kind, seed, levels, tol)
 
 
-def _main3_family(params, grid, kind, seed, count, levels, tol, scale) -> list:
-    fs = field_family("mixed", seed, count, grid)
-    gs = field_family("bumps", seed + 5, count, grid)
-    return [(f, Field(grid, scale * g.values, nonneg=True)) for f, g in zip(fs, gs)]
+def _main3_family(params, grid, kind, seed, count, levels, tol) -> list:
+    return list(zip(field_family("mixed", seed, count, grid),
+                    field_family("bumps", seed + 5, count, grid)))
 
 
 class _Check(NamedTuple):
     """A registered check: `run(params, family, seed=, **keywords)` on the
-    family that `family(params, grid, kind, seed, count, levels, tol, scale)`
+    family that `family(params, grid, kind, seed, count, levels, tol)`
     builds; `levels` is capped at `max_levels`."""
 
     run: Callable
@@ -451,30 +434,32 @@ _CHECKS = {
 }
 
 CHECK_NAMES = tuple(_CHECKS)
+_KEYWORDS = {k for check in _CHECKS.values() for k in check.keywords}
 
 
 def run_check(name: str, params: Params, grid: Grid, kind: str = "riesz",
               seed: int = DEFAULT_FAMILY_SEED, count: int = 8, levels: int = 32,
-              tol: float = 1e-6, scale: float = 1.0, **kw) -> ConstantReport:
+              tol: float = 1e-6, **kw) -> ConstantReport:
     """Build the named check's default family on the grid and run it.
 
-    The check registry `_CHECKS` fixes each check's family, the keywords it
-    takes (`t`, `R`, `budget`; others are ignored) and its level cap. A `q`,
-    `p` or `r` keyword replaces that exponent of `params` before anything is
-    built. Reports are bit-reproducible from (name, params, seed, grid, count,
-    levels). The `scale` knob multiplies the family, for homogeneity-invariance
-    checks. The whole check runs in one solve scope; `meta["solver"]` holds its
-    counts of real solves, memo hits and solves that did not converge.
+    The exponents are `params`' own. The check registry `_CHECKS` fixes each
+    check's family, the keywords it takes and its level cap. Of the extra
+    keywords (`t`, `R`, `budget`), a check gets those it takes and ignores the
+    rest, so one set serves every check; a keyword that no check takes raises
+    TypeError. Reports are bit-reproducible from (name, params, seed, grid,
+    count, levels). The whole check runs in one solve scope; `meta["solver"]`
+    holds its counts of real solves, memo hits and solves that did not converge.
     """
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {CHECK_NAMES}")
+    if set(kw) - _KEYWORDS:
+        raise TypeError(f"run_check got keywords no check takes: {sorted(set(kw) - _KEYWORDS)}")
     check = _CHECKS[name]
-    params = params.replace(**{k: kw.pop(k) for k in ("q", "p", "r") if k in kw})
     levels = min(levels, check.max_levels)
     options = dict(kw, kind=kind, levels=levels, tol=tol)
     with solve_scope() as scope:
         before = scope.counts()
-        family = check.family(params, grid, kind, seed, count, levels, tol, scale)
+        family = check.family(params, grid, kind, seed, count, levels, tol)
         report = check.run(params, family, seed=seed,
                            **{k: options[k] for k in check.keywords if k in options})
         report.meta["solver"] = scope.since(before)
@@ -485,7 +470,8 @@ def refinement_study(name: str, params: Params, Ns, half_width: float = 1.0,
                      kind: str = "riesz", seed: int = DEFAULT_FAMILY_SEED,
                      count: int = 8, levels: int = 32, tol: float = 1e-6,
                      **kw) -> ConstantReport:
-    """Run the named check across grid sizes; refinement rows are (N, max_ratio)."""
+    """Run the named check across grid sizes, with `run_check`'s keywords;
+    refinement rows are (N, max_ratio)."""
     if not Ns:
         raise ValueError("a refinement study needs at least one grid size")
     dim = params.n

@@ -6,6 +6,7 @@ lines; the whole battery targets desk scale (n <= 2, N <= 256).
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,7 +18,8 @@ from capax.kernels import (apply_kernel, bessel_kernel_table, riesz_gamma, riesz
 from capax.maximal import a1_constant
 from capax.potentials import Measure, potential, wolff_at_points, wolff_potential
 from capax.spaces import a1_weight_witness
-from capax.verify import check_boundedness, refinement_study, run_check
+from capax.verify import (check_boundedness, check_kv_equiv, check_newnorm2, refinement_study,
+                          run_check)
 from conftest import direct_linear_convolve
 
 ALPHA, S = 0.4, 2.0
@@ -141,14 +143,14 @@ def test_criterion_5_csim_and_adams():
     full = run_check("csim", P1, g, count=32)
     finite = all(math.isfinite(s.ratio) for s in full.samples)
 
-    rep_q = run_check("adams", P1, g, count=32, q=S)
+    rep_q = run_check("adams", replace(P1, q=S), g, count=32)
     bit_equal = ([ (s.lhs, s.rhs, s.ratio) for s in full.samples]
                  == [(s.lhs, s.rhs, s.ratio) for s in rep_q.samples])
 
     drift_ok = True
     drifts = {}
     for q in (1.0, S, S + 1.0):
-        rep = refinement_study("adams", P1, (64, 128, 256), count=8, q=q)
+        rep = refinement_study("adams", replace(P1, q=q), (64, 128, 256), count=8)
         ratios = [r for _, r in rep.refinement]
         worst = max(abs(b / a - 1) for a, b in zip(ratios, ratios[1:]))
         drifts[q] = worst
@@ -228,20 +230,23 @@ def test_criterion_8_upper_triangle():
 def test_criterion_9_norm_equivalence_bands():
     ok = True
     msgs = []
+    g64 = Grid(1, 1.0, 64)
+    doubled = [Field(g64, 2.0 * f.values, nonneg=True)     # run_check's family, doubled
+               for f in field_family("mixed", DEFAULT_FAMILY_SEED, 3, g64)]
     for q in (1.0, (1 + S) / 2):
-        for name in ("newnorm2", "kv"):
+        Pq = replace(P1, q=q)
+        for name, check in (("newnorm2", check_newnorm2), ("kv", check_kv_equiv)):
             rows = []
             for N in (32, 64):
                 g = Grid(1, 1.0, N)
-                rep = run_check(name, P1, g, count=4, q=q, levels=16)
+                rep = run_check(name, Pq, g, count=4, levels=16)
                 done = [s for s in rep.samples if not s.skipped]
                 ok = ok and len(done) > 0 and all(math.isfinite(s.ratio) for s in done)
                 rows.append(max(s.ratio for s in done))
             drift = abs(rows[1] / rows[0] - 1)
             ok = ok and drift < 0.25
-            g64 = Grid(1, 1.0, 64)
-            base = run_check(name, P1, g64, count=3, q=q, levels=16)
-            scaled = run_check(name, P1, g64, count=3, q=q, levels=16, scale=2.0)
+            base = run_check(name, Pq, g64, count=3, levels=16)
+            scaled = check(Pq, doubled, levels=16)
             exact = all(a.ratio == b.ratio for a, b in zip(base.samples, scaled.samples))
             ok = ok and exact
             msgs.append(f"{name}(q={q}): band {rows[1]:.2f} drift {drift:.2%} exact-homog {exact}")

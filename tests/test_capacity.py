@@ -408,7 +408,7 @@ def test_memo_works_per_row_of_a_stack(g64, params, solve_calls):
 
 def test_memo_does_not_leak_between_calls(g64, params, solve_calls):
     g = Field(g64, np.exp(-g64.axis**2 / 0.08), nonneg=True)
-    P = params.replace(r=1.0)
+    P = dataclasses.replace(params, r=1.0)
     a = n_norm(g, P, levels=16, budget=4)
     first = len(solve_calls)
     b = n_norm(g, P, levels=16, budget=4)

@@ -9,8 +9,9 @@ import pytest
 
 from capax.cli import _NORMS, main, parse_args, parse_atoms, parse_set_spec
 from capax.grid import (Field, Grid, Params, ball_mask, cube_mask, field_from_json,
-                        field_to_json)
+                        field_to_json, mask_to_json)
 from capax.capacity import capacity, choquet_integral
+from capax.potentials import potential
 from capax.spaces import otilde_norm
 from capax.verify import CHECK_NAMES
 
@@ -204,6 +205,55 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     bad_cfg.write_text("whatever\n")
     assert run_cli("capacity", "--config", str(bad_cfg)) == 1
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["capacity", "--set", "ball:0.2", "--L", "inf", "--N", "32"],
+    ["norm", "--norm", "n", "--p", "inf", "--r", "1"],
+    ["norm", "--norm", "lqcap", "--q", "inf"],
+    ["norm", "--norm", "m", "--p", "inf", "--r", "2"],
+])
+def test_non_finite_width_or_exponent_exits_one_without_traceback(tmp_path, capsys, args):
+    g = Grid(1, 1.0, 32)
+    fpath = tmp_path / "field.json"
+    fpath.write_text(field_to_json(Field(g, np.exp(-g.axis**2 / 0.08), nonneg=True)))
+    extra = ["--input", str(fpath)] if args[0] == "norm" else []
+    assert run_cli(*args, *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err and "Traceback" not in err
+
+
+def test_mask_input_refine_lines_and_missing_flags(tmp_path, capsys):
+    # the capacity of a mask file, its extremal written out and checked as the
+    # cap2d benchmark op checks its own
+    g, tol = Grid(2, 1.0, 16), 1e-6
+    mask = ball_mask(g, 0.3) | cube_mask(g, 0.4)
+    mpath, out, ext = tmp_path / "mask.json", tmp_path / "cap.json", tmp_path / "ext.json"
+    mpath.write_text(mask_to_json(mask))
+    assert run_cli("capacity", "--input", str(mpath), "--alpha", "0.7", "--s", "2",
+                   "--tol", str(tol), "--output", str(out), "--extremal-out", str(ext)) == 0
+    value = json.loads(out.read_text())["value"]
+    f = field_from_json(ext.read_text())
+    assert f.grid == g and value > 0
+    assert np.min(potential(f, 0.7, "riesz").values[mask.members]) >= 1.0 - tol
+    assert abs(g.cell_volume * np.sum(f.values**2) - value) <= 1e-9 * value
+    # one summary line per grid size of a refinement study
+    capsys.readouterr()
+    assert run_cli("verify", "--check", "ibp", "--t", "1", "--refine", "32,64",
+                   "--count", "2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["  N=32: max_ratio=1", "  N=64: max_ratio=1"]
+    # a missing flag is an input error, named in the message
+    fpath = tmp_path / "field.json"
+    fpath.write_text(field_to_json(f))
+    for args, message in [(["wolff"], "wolff needs --atoms and/or --input density"),
+                          (["norm", "--input", str(fpath)], "norm needs --norm"),
+                          (["norm", "--norm", "lqcap", "--input", str(fpath)],
+                           "lqcap needs --q")]:
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 def test_too_wide_bessel_box_exits_one(capsys):

@@ -15,6 +15,9 @@ def test_grid_validation():
         Grid(4, 1.0, 64)
     with pytest.raises(ValueError):
         Grid(1, -1.0, 64)
+    for half_width in (math.inf, math.nan):   # inf gave inf spacing and NaN nodes
+        with pytest.raises(ValueError, match="half_width must be finite and positive"):
+            Grid(1, half_width, 64)
     with pytest.raises(ValueError):
         Grid(1, 1.0, 48)   # not a power of two
     with pytest.raises(ValueError):
@@ -122,6 +125,10 @@ def test_params_validation():
         Params(1, 0.4, 2.0, p=1.0)
     with pytest.raises(ValueError):
         Params(1, 0.4, 2.0, r=3.0)
+    with pytest.raises(ValueError, match="q must be finite and >= 1"):
+        Params(1, 0.4, 2.0, q=math.inf)
+    with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+        Params(1, 0.4, 2.0, p=math.inf)
     # Bessel admits alpha = n/s, Riesz does not
     edge = Params(1, 0.5, 2.0)
     edge.validate_for("bessel")

@@ -207,6 +207,16 @@ def test_wolff_density_grid_matches_points_nd(grid, R):
         assert np.max(np.abs(on_grid - at_nodes)) <= 1e-12 * top
 
 
+def test_wolff_points_must_have_the_grid_dimension(g64, g2d):
+    # [0.1, 0.5] on a 1D grid is two points, not one 2-coordinate point
+    mu1 = Measure.from_atoms(g64, [[0.0]], [1.0])
+    assert wolff_at_points(mu1, 0.4, 2.0, [[0.1], [0.5]]).shape == (2,)
+    mu2 = Measure.from_atoms(g2d, [[0.0, 0.0]], [1.0])
+    for mu, points in ((mu1, [0.1, 0.5]), (mu1, 0.1), (mu2, [[0.1]]), (mu2, [[0.1, 0.2, 0.3]])):
+        with pytest.raises(ValueError, match=r"points must have shape \(P, "):
+            wolff_at_points(mu, 0.4, 2.0, points)
+
+
 def test_truncated_wolff_vanishes_where_balls_miss_the_density():
     # balls of radius < R = 0.5 about 214 of the 256 nodes hold no node of the
     # density's support; the FFT ball sums left 1e-20 to 1e-17 there, so the

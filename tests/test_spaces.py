@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,14 +43,14 @@ def test_q_range_error_names_evaluator(g64, evaluator, q):
     z = Field(g64, np.zeros(g64.shape))
     name = evaluator.__name__
     with pytest.raises(ValueError, match=rf"^{name} needs params.q in \[1, s\)$"):
-        evaluator(z, P_Q.replace(q=q))
+        evaluator(z, replace(P_Q, q=q))
 
 
 @pytest.mark.parametrize("evaluator, params, kwargs, message", [
-    (m_norm, P_RS.replace(p=None), {}, "params.p and params.r must be set for m_norm"),
-    (m_norm, P_RS.replace(r=None), {}, "params.p and params.r must be set for m_norm"),
-    (n_norm, P_RL.replace(p=None), {}, "n_norm needs params.p and params.r"),
-    (n_norm, P_RL.replace(r=None), {}, "n_norm needs params.p and params.r"),
+    (m_norm, replace(P_RS, p=None), {}, "params.p and params.r must be set for m_norm"),
+    (m_norm, replace(P_RS, r=None), {}, "params.p and params.r must be set for m_norm"),
+    (n_norm, replace(P_RL, p=None), {}, "n_norm needs params.p and params.r"),
+    (n_norm, replace(P_RL, r=None), {}, "n_norm needs params.p and params.r"),
     (n_norm, P_RL, {"variant": "a1"}, "unknown variant 'a1'"),
 ])
 def test_input_checks_run_before_zero_return(g64, evaluator, params, kwargs, message):
@@ -86,7 +87,7 @@ _SCALED = {   # test id -> (evaluator, params, keywords)
     "kv_norm": (kv_norm, P_Q, dict(levels=8)),
     "n_norm": (n_norm, P_RL, dict(budget=2, levels=8)),
     "f_norm": (f_norm, P_RL, {}),
-    "f_norm_r1.3": (f_norm, P_RL.replace(r=1.3), {}),
+    "f_norm_r1.3": (f_norm, replace(P_RL, r=1.3), {}),
     "lambda_functional": (lambda_functional, P_Q, dict(levels=8)),
     "beta_functional": (beta_functional, P_Q, dict(levels=8)),
 }

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from capax.spaces import NormEstimate
 from capax.grid import Field, Grid, Params
 from capax.families import DEFAULT_FAMILY_SEED, field_family, measure_family
 from capax.potentials import Measure, wolff_at_points
-from capax.verify import (check_adams, check_boundedness, check_ibp, check_kv_equiv, check_main2,
-                          check_main3, check_newnorm2, check_upper_tri, check_wolff_weak,
-                          ConstantReport, Sample, refinement_study, report_to_csv,
+from capax.verify import (check_adams, check_boundedness, check_csim, check_ibp, check_kv_equiv,
+                          check_main2, check_main3, check_newnorm2, check_upper_tri,
+                          check_wolff_weak, ConstantReport, Sample, refinement_study, report_to_csv,
                           report_to_json, run_check)
 
 P = Params(1, 0.4, 2.0, q=1.5, p=2.0, r=1.0)
@@ -53,7 +53,7 @@ def test_csim_finite_and_adams_degeneracy(g64):
     rep = run_check("csim", P, g64, count=6)
     assert all(math.isfinite(s.ratio) for s in rep.samples)
     assert rep.max_ratio > 0
-    rep_s = run_check("adams", P, g64, count=6, q=P.s)
+    rep_s = run_check("adams", replace(P, q=P.s), g64, count=6)
     assert [s.ratio for s in rep.samples] == [s.ratio for s in rep_s.samples]
     assert rep.inequality_id == "csim" and rep_s.inequality_id == "adams"
 
@@ -62,7 +62,7 @@ def test_adams_zero_sample_skipped(g64):
     # every field check skips a zero field before any solve, as does main2 a zero f
     zero = Field(g64, np.zeros(g64.shape), nonneg=True)
     one = Field(g64, np.ones(g64.shape), nonneg=True)
-    reports = [check_adams(P.replace(q=1.0), [zero], "riesz"), check_ibp(P, [zero]),
+    reports = [check_adams(replace(P, q=1.0), [zero], "riesz"), check_ibp(P, [zero]),
                check_newnorm2(P, [zero]), check_kv_equiv(P, [zero]),
                check_main2(P, [(zero, one)])]
     for rep in reports:
@@ -73,9 +73,13 @@ def test_adams_zero_sample_skipped(g64):
 
 
 def test_ratio_scale_invariance(g64):
-    for name, kw in [("csim", {}), ("adams", {"q": 1.0}), ("ibp", {"t": 2.0})]:
-        rep1 = run_check(name, P, g64, count=4, **kw)
-        rep2 = run_check(name, P, g64, count=4, scale=2.0, **kw)
+    # the run_check family, and the same family doubled
+    fam = field_family("mixed", DEFAULT_FAMILY_SEED, 4, g64)
+    doubled = [Field(g64, 2.0 * f.values, nonneg=True) for f in fam]
+    for check, params, kw in [(check_csim, P, {}), (check_adams, replace(P, q=1.0), {}),
+                              (check_ibp, P, {"t": 2.0})]:
+        rep1 = check(params, fam, **kw)
+        rep2 = check(params, doubled, **kw)
         for a, b in zip(rep1.samples, rep2.samples):
             if not a.skipped and a.ratio > 0:
                 assert abs(b.ratio / a.ratio - 1) <= 1e-12
@@ -195,10 +199,10 @@ def test_wolff_weak_estimates(g64):
 
 
 def test_newnorm2_and_kv_bands(g64):
-    rep = run_check("newnorm2", P, g64, count=3, q=1.5, levels=16)
+    rep = run_check("newnorm2", P, g64, count=3, levels=16)
     done = [s for s in rep.samples if not s.skipped]
     assert done and all(math.isfinite(s.ratio) for s in done)
-    rep_kv = run_check("kv", P, g64, count=3, q=1.5, levels=16)
+    rep_kv = run_check("kv", P, g64, count=3, levels=16)
     done_kv = [s for s in rep_kv.samples if not s.skipped]
     assert done_kv and all(math.isfinite(s.ratio) for s in done_kv)
     assert max(s.ratio for s in done_kv) <= 10.0
@@ -220,11 +224,11 @@ def test_norm_band_nonpositive_is_infinite(g64, monkeypatch, attr, check, keys):
 
 
 def test_run_check_reports_solver_counts(g64):
-    rep = run_check("newnorm2", P, g64, count=2, q=1.5, levels=16)
+    rep = run_check("newnorm2", P, g64, count=2, levels=16)
     solver = rep.meta["solver"]
     assert set(solver) == {"solves", "memo_hits", "nonconverged"}
     assert solver["solves"] > 0 and solver["memo_hits"] > 0 and solver["nonconverged"] == 0
-    again = run_check("newnorm2", P, g64, count=2, q=1.5, levels=16)
+    again = run_check("newnorm2", P, g64, count=2, levels=16)
     assert again.meta["solver"] == solver
     assert json.loads(report_to_json(rep))["meta"]["solver"] == solver
     assert run_check("ibp", P, g64, count=2).meta["solver"]["solves"] == 0
@@ -247,7 +251,7 @@ def test_main2_limit_toward_csim(g64):
     # constant unit-norm weight and q near s reproduce the unweighted ratios
     s = P.s
     q = 0.999 * s
-    rep_m2 = run_check("main2", P, g64, count=4, q=q, levels=32)
+    rep_m2 = run_check("main2", replace(P, q=q), g64, count=4, levels=32)
     rep_cs = run_check("csim", P, g64, count=4, levels=32)
     a = rep_m2.samples[-1]     # the constant-weight pair
     b = rep_cs.samples[-1]
@@ -256,7 +260,7 @@ def test_main2_limit_toward_csim(g64):
 
 
 def test_main2_and_newnorm2_need_q_below_s(g64):
-    P_s = P.replace(q=P.s)
+    P_s = replace(P, q=P.s)
     with pytest.raises(ValueError, match=r"^main2_pairs needs params.q in \[1, s\)$"):
         run_check("main2", P_s, g64, count=2)
     for check in (check_main2, check_newnorm2):
@@ -313,3 +317,14 @@ def test_report_serialization_roundtrip(g64):
 def test_unknown_check_rejected(g64):
     with pytest.raises(ValueError):
         run_check("nope", P, g64)
+
+
+def test_run_check_rejects_keywords_no_check_takes(g64):
+    # exponents come from params alone; a stray q= is an error, not ignored
+    for kw in ({"q": 1.5}, {"scale": 2.0}, {"bugdet": 4}):
+        with pytest.raises(TypeError, match="keywords no check takes"):
+            run_check("csim", P, g64, count=2, **kw)
+        with pytest.raises(TypeError, match="keywords no check takes"):
+            refinement_study("ibp", P, (32,), count=2, **kw)
+    # a keyword some other check takes is ignored, as the CLI passes t and R to every check
+    assert run_check("csim", P, g64, count=1, t=2.0, R=0.5, budget=2).samples
