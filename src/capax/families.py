@@ -84,6 +84,8 @@ _FIELD_FAMILIES = {"mixed": _mixed_sample, "bumps": _bump_sample}
 def field_family(name: str, seed: int, count: int, grid: Grid) -> list:
     if name not in _FIELD_FAMILIES:
         raise ValueError(f"unknown field family {name!r}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     sample = _FIELD_FAMILIES[name]
     rng = np.random.default_rng(seed)
     return [Field(grid, sample(grid, rng, i), nonneg=True) for i in range(count)]
@@ -111,6 +113,8 @@ _MEASURE_FAMILIES = {"atoms": _atom_cloud, "measures": _measures_sample}
 def measure_family(name: str, seed: int, count: int, grid: Grid) -> list:
     if name not in _MEASURE_FAMILIES:
         raise ValueError(f"unknown measure family {name!r}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     sample = _MEASURE_FAMILIES[name]
     rng = np.random.default_rng(seed)
     return [sample(grid, rng, i) for i in range(count)]

@@ -102,7 +102,7 @@ def _as_grid_array(grid: Grid, values, dtype) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Real-valued grid function; values stored grid-shaped, row-major on disk."""
 
@@ -116,13 +116,6 @@ class Field:
             raise ValueError("field values must be finite")
         if self.nonneg and np.any(self.values < 0):
             raise ValueError("nonneg field has negative values")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.grid == other.grid
-            and np.array_equal(self.values, other.values)
-        )
 
 
 @dataclass(frozen=True)
@@ -251,12 +244,16 @@ def _offsets_from(grid: Grid, center) -> np.ndarray:
 
 def ball_mask(grid: Grid, radius: float, center=None) -> Mask:
     """Nodes within the closed ball of given radius about center (default origin)."""
+    if not radius >= 0:   # NaN too
+        raise ValueError(f"ball radius must be nonnegative, got {radius}")
     d = np.sqrt(np.sum(_offsets_from(grid, center) ** 2, axis=-1)).reshape(grid.shape)
     return Mask(grid, d <= radius)
 
 
 def cube_mask(grid: Grid, side: float, center=None) -> Mask:
     """Nodes within the closed axis-aligned cube of given side about center."""
+    if not side >= 0:   # NaN too
+        raise ValueError(f"cube side must be nonnegative, got {side}")
     d = np.max(np.abs(_offsets_from(grid, center)), axis=-1).reshape(grid.shape)
     return Mask(grid, d <= side / 2.0)
 

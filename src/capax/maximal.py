@@ -97,7 +97,7 @@ def a1_constant(w: Field, truncated: bool = False) -> float:
         raise ValueError("A1 characteristic requires a not identically zero weight")
     m = maximal_function(w, truncated).values
     pos = vals > 0
-    best = float(np.max(m[pos] / vals[pos])) if np.any(pos) else 1.0
+    best = float(np.max(m[pos] / vals[pos]))
     zero = ~pos
     if np.any(zero):
         if np.any(m[zero] > 0):

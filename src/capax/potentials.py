@@ -75,15 +75,6 @@ class Measure:
             total += integrate(self.density)
         return total
 
-    def scaled(self, factor: float) -> "Measure":
-        if not factor >= 0:
-            raise ValueError("scale factor must be nonnegative")
-        atoms = tuple((p, m * factor) for p, m in self.atoms) if factor > 0 else ()
-        dens = None
-        if self.density is not None:
-            dens = Field(self.grid, self.density.values * factor, nonneg=True)
-        return Measure(self.grid, atoms, dens)
-
     @classmethod
     def from_atoms(cls, grid: Grid, positions, masses) -> "Measure":
         return cls(grid, tuple(zip([tuple(np.atleast_1d(p)) for p in positions], masses)))
@@ -199,6 +190,11 @@ def wolff_potential(mu: Measure, alpha: float, s: float, R: float = math.inf) ->
     Discretized over dyadic shells starting at h/2, with knots inserted at the
     atom distances of each node; for R = inf the exact power-law tail beyond
     the radius where balls contain the whole box is added in closed form.
+    In n >= 2, for a measure with both atoms and a density, the density's
+    ball masses are interpolated linearly in a shared log-spaced radius
+    table, not counted node by node as in `wolff_at_points`: the two differ
+    by up to about 1% of the max on 2D N=16 and 3D N=8, and by less on
+    finer grids.
     """
     vals = _wolff_eval(mu, alpha, s, R, None).reshape(mu.grid.shape)
     return Field(mu.grid, vals, nonneg=True)

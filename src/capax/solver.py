@@ -487,6 +487,9 @@ def _result(shape, tol, steps, gap_rel, value, residual, dual, f, lam):
     """The ProgramResult of one row's best certificate (none when gap_rel is inf)."""
     if gap_rel == math.inf:
         return ProgramResult(np.zeros(shape), 0.0, 1.0, math.inf, 0.0, steps, False)
-    value, dual = float(value), float(dual)
-    return ProgramResult(f.reshape(shape), value, float(residual), max(value - dual, 0.0), dual,
+    # the dual value bounds the optimum from below and the value from above;
+    # rounding can put the computed dual value an ulp above the value
+    value = float(value)
+    dual = min(float(dual), value)
+    return ProgramResult(f.reshape(shape), value, float(residual), value - dual, dual,
                          steps, bool(gap_rel <= tol and residual <= tol), lam.reshape(shape))

@@ -240,8 +240,6 @@ def m_norm(f: Field, params: Params, kind: str = "riesz", budget: int = 32,
 def _otilde_objective(g_abs: np.ndarray, w: np.ndarray, q: float, s: float,
                       cell: float) -> float:
     nz = g_abs > 0
-    if not np.any(nz):
-        return 0.0
     if np.any(w[nz] <= 0):
         return np.inf
     return float((cell * np.sum(g_abs[nz] ** s * w[nz] ** (q - s))) ** (1.0 / s))
@@ -299,8 +297,6 @@ def _kv_objective(h: np.ndarray, grid: Grid, params: Params, kind: str) -> float
     q, s = params.q, params.s
     v = potential(Field(grid, h, nonneg=True), params.alpha, kind).values
     nz = h > 0
-    if not np.any(nz):
-        return 0.0
     integrand = np.zeros_like(h)
     integrand[nz] = h[nz] ** s * v[nz] ** (q - s)
     return float((grid.cell_volume * np.sum(integrand)) ** (1.0 / q))

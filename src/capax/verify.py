@@ -192,8 +192,8 @@ def check_main2(params: Params, pairs, kind: str = "riesz",
 def check_ibp(params: Params, fields, kind: str = "riesz",
               seed: int = DEFAULT_FAMILY_SEED, t: float = 2.0) -> ConstantReport:
     """Pointwise integrating-by-parts bound (I f)^t <= A * I[f (I f)^(t-1)]."""
-    if not t >= 1:
-        raise ValueError("t must be >= 1")
+    if not 1 <= t < math.inf:
+        raise ValueError(f"t must be >= 1 and finite, got {t}")
 
     def sample(i, f):
         vals = f.values

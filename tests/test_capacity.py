@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
 from capax.capacity import capacity, choquet_integral, lq_cap_norm, solve_scope, _solve
@@ -89,6 +90,36 @@ def test_capacity_monotone_and_subadditive(g64, params):
     assert capA <= capB + 2 * tol
     assert capB <= capBC + 2 * tol
     assert capBC <= capB + capC + 4 * tol
+
+
+_UNION = st.lists(st.tuples(st.sampled_from([ball_mask, cube_mask]), st.floats(0.05, 0.8),
+                            st.lists(st.floats(-0.7, 0.7), min_size=2, max_size=2)),
+                  min_size=1, max_size=2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([Grid(1, 1.0, 32), Grid(2, 1.0, 8)]), st.sampled_from([1.5, 2.0, 3.0]),
+       st.sampled_from(["riesz", "bessel"]), _UNION, _UNION)
+@example(Grid(1, 1.0, 32), 1.5, "riesz", [(ball_mask, 0.5, [0.0, 0.0])],
+         [(ball_mask, 0.0625, [0.0, 0.0])]).via("a dual value one ulp above the value")
+def test_capacity_axioms_on_random_unions(g, s, kind, shapes_a, shapes_b):
+    # Adams-Hedberg, Function Spaces and Potential Theory, 2.3: capacities
+    # are monotone and subadditive. A certified value lies within
+    # tol * max(v, 1) above the optimum, and its dual value below it
+    tol = 1e-6
+    A = B = Mask.empty(g)
+    for make, size, center in shapes_a:
+        A = A | make(g, size, center[:g.dim])
+    for make, size, center in shapes_b:
+        B = B | make(g, size, center[:g.dim])
+    rows = np.stack([E.members for E in (A, B, A | B)]).astype(float)
+    table = kernel_table(g, 0.5 * g.dim / s, kind)
+    cap_a, cap_b, cap_ab = results = obstacle_program(table, rows, s, tol=tol)
+    for res in results:
+        assert res.converged and res.dual_value <= res.value
+    slack = 2 * tol * max(cap_ab.value, 1.0)
+    assert max(cap_a.value, cap_b.value) <= cap_ab.value + slack
+    assert cap_ab.value <= cap_a.value + cap_b.value + slack
 
 
 def test_extremal_uniqueness_across_initializations(params, rng):

@@ -12,7 +12,7 @@ from capax.grid import (Field, Grid, Params, ball_mask, cube_mask, field_from_js
                         field_to_json, mask_to_json)
 from capax.capacity import capacity, choquet_integral
 from capax.potentials import potential
-from capax.spaces import otilde_norm
+from capax.spaces import NormEstimate, otilde_norm
 from capax.verify import CHECK_NAMES
 
 
@@ -36,6 +36,7 @@ def test_parse_atoms():
     assert pos == [[0.1], [-0.2]] and masses == [1.0, 2.5]
     pos2, masses2 = parse_atoms("0.1,0.2:1.0", 2)
     assert pos2 == [[0.1, 0.2]]
+    assert parse_atoms("; 0.1:1.0;;", 1) == ([[0.1]], [1.0])   # empty parts are skipped
     with pytest.raises(ValueError):
         parse_atoms("0.1,0.2:1.0", 1)
 
@@ -179,7 +180,8 @@ def test_report_command(tmp_path, capsys):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("command_ignored=x\n"[0:0] +
+    # comments, blank lines and a command key are skipped
+    cfg.write_text("# a capacity run\n\ncommand=verify\n"
                    "n=1\nalpha=0.4\ns=2.0\nN=32\nset=ball:0.25\ntol=1e-7\n")
     out = tmp_path / "out.json"
     code = run_cli("capacity", "--config", str(cfg), "--output", str(out))
@@ -204,7 +206,26 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("whatever\n")
     assert run_cli("capacity", "--config", str(bad_cfg)) == 1
+    # a NaN or negative radius or side printed the capacity of the empty set
+    for spec in ("ball:nan", "ball:-1", "cube:nan", "cube:-0.5"):
+        assert run_cli("capacity", "--set", spec, "--N", "32") == 1
+    # t = inf printed max_ratio=nan, and a negative count ran no sample
+    assert run_cli("verify", "--check", "ibp", "--t", "inf", "--count", "1", "--N", "8") == 1
+    assert run_cli("verify", "--check", "csim", "--count", "-1", "--N", "8") == 1
     capsys.readouterr()
+
+
+def test_verify_infinite_ratio_exits_one(tmp_path, monkeypatch, capsys):
+    # a nonpositive quantity makes the kv band infinite: a hard failure that
+    # writes no report
+    monkeypatch.setattr("capax.verify.kv_norm", lambda *a, **k: NormEstimate(0.0, 0.0))
+    out = tmp_path / "rep.json"
+    assert run_cli("verify", "--check", "kv", "--q", "1.5", "--N", "16", "--count", "2",
+                   "--levels", "8", "--output", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "max_ratio=inf" in captured.out
+    assert "infinite ratio" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -121,6 +121,17 @@ def test_a1_infinite_sentinel():
     assert a1_constant(Field(g, w, nonneg=True)) == math.inf
 
 
+def test_truncated_maximal_function_without_a_dyadic_radius():
+    # the spacing 2 exceeds the truncation radius 1, so no ball is taken:
+    # M w = |w|, and the A1 constant is 1 although w vanishes at some nodes
+    g = Grid(1, 8.0, 8)
+    assert dyadic_radii(g, truncated=True) == []
+    w = Field(g, [0.0, 0.0, 1.0, 3.0, 2.0, 0.0, 0.0, 0.0], nonneg=True)
+    assert np.array_equal(maximal_function(w, truncated=True).values, w.values)
+    assert a1_constant(w, truncated=True) == 1.0
+    assert a1_constant(w) == math.inf   # untruncated balls reach the zeros
+
+
 def test_a1_rejects_bad_weights():
     g = Grid(1, 1.0, 64)
     with pytest.raises(ValueError):

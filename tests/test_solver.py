@@ -282,6 +282,40 @@ def test_scaled_inverse_without_scaling_where_fprime_vanishes():
     assert np.array_equal(prec(r), expect[free])
 
 
+@pytest.mark.parametrize("grad, cost", [(1.0, 1), (0.0, 0)])
+def test_singular_direct_step_falls_back_to_pcg(grad, cost):
+    # f' = 0 on the free set makes K_F^T diag(f') K_F zero, so the direct
+    # solve fails and PCG runs: on a zero right-hand side it takes no step,
+    # else its first step finds p.Hp = 0 and stops; either way the direction
+    # is zero
+    g = Grid(1, 1.0, 64)
+    table = riesz_kernel_table(g, 0.4)
+    free = ball_mask(g, 0.3).members.ravel()
+    fprime, rhs = np.zeros(g.size), np.where(free, grad, 0.0)
+    assert solver._direct_step(table.dense, free, fprime, rhs) is None
+    d, spent = solver._newton_direction(table, "dense", free, fprime, rhs, 1000, 1e-6)
+    assert spent == cost and d.shape == (free.sum(),) and not d.any()
+
+
+def test_row_without_certificate_beside_a_certified_row():
+    # <b, b> of an obstacle of max 1e-200 underflows to 0, so the row's ray
+    # scaling, multiplier and primal point vanish: K u = 0 on {b > 0}
+    # certifies nothing, and its Newton direction is zero (see
+    # test_singular_direct_step_falls_back_to_pcg), so it leaves the stack
+    # after its first line search with no certificate, while the ball beside
+    # it improves its own certificate and is accepted
+    g = Grid(1, 1.0, 64)
+    table = kernel_table(g, 0.4, "riesz")
+    b = ball_mask(g, 0.3).members.astype(float)
+    ball, tiny = solver.obstacle_program(table, np.stack([b, 1e-200 * b]), 2.0)
+    assert not tiny.converged and tiny.gap == math.inf and tiny.multiplier is None
+    assert (tiny.value, tiny.residual, tiny.dual_value, tiny.iterations) == (0.0, 1.0, 0.0, 2)
+    assert tiny.extremal.shape == g.shape and not tiny.extremal.any()
+    alone = solver.obstacle_program(table, b, 2.0)
+    assert ball.converged and ball.iterations == alone.iterations
+    assert _agree(ball.value, alone.value, 1e-6)
+
+
 @pytest.mark.parametrize("kind", ["riesz", "bessel"])
 @pytest.mark.parametrize("s", [1.05, 2.0, 3.0])
 def test_direct_newton_step_on_dense_grids(kind, s, monkeypatch):

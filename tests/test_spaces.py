@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from capax.grid import Field, Grid, Params, ball_mask
 from capax.capacity import capacity, choquet_integral, lq_cap_norm, _solve
-from capax.families import field_family
+from capax.families import DEFAULT_FAMILY_SEED, field_family
 from capax.potentials import potential
-from capax.spaces import (_dyadic_cube_ratio, _kv_objective, _majorants, _otilde_objective,
-                          a1_weight_witness,
+from capax.solver import ProgramResult
+from capax.spaces import (_KV_DESCENT_STEPS, _dyadic_cube_ratio, _kv_objective, _majorants,
+                          _otilde_objective, a1_weight_witness,
                           beta_functional, f_norm, kv_norm, lambda_functional, m_norm, n_norm,
                           otilde_norm)
 
@@ -33,6 +34,9 @@ def test_all_evaluators_vanish_on_zero(g64):
     assert n_norm(z, P_RL).upper == 0.0
     assert lambda_functional(z, P_Q).upper == 0.0
     assert beta_functional(z, P_Q).upper == 0.0
+    # so do the objectives, with no branch for a zero input
+    assert _otilde_objective(z.values, z.values, 1.5, 2.0, g64.cell_volume) == 0.0
+    assert _kv_objective(z.values, g64, P_Q, "riesz") == 0.0
 
 
 @pytest.mark.parametrize("evaluator", [otilde_norm, kv_norm, lambda_functional,
@@ -238,6 +242,33 @@ def test_kv_monotone_with_majorant_transfer(g64):
     assert small == pytest.approx(big.upper, rel=1e-12)
 
 
+def test_kv_descent_keeps_the_best_majorant_after_a_rejected_step(monkeypatch):
+    # at s = 1.5 some projected descent steps raise the objective; such a
+    # step is halved and the best majorant so far is kept
+    g = Grid(1, 1.0, 32)
+    f = field_family("mixed", DEFAULT_FAMILY_SEED, 1, g)[0]
+    seen = []
+
+    def recording(h, *args):
+        seen.append(_kv_objective(h, *args))
+        return seen[-1]
+
+    monkeypatch.setattr("capax.spaces._kv_objective", recording)
+    est = kv_norm(f, Params(1, 0.4, 1.5, q=1.2), levels=8)
+    # the objective of |f| for the proof's majorant, the three candidates,
+    # then one trial per descent step
+    candidates, trials = seen[1:4], seen[4:]
+    assert len(trials) == _KV_DESCENT_STEPS
+    best, rejected = min(candidates), 0
+    for val in trials:
+        if val < best:
+            best = val
+        else:
+            rejected += 1
+    assert rejected > 0
+    assert est.upper == best * np.max(f.values)
+
+
 def test_kv_otilde_equivalence_band(g64):
     rng = np.random.default_rng(77)
     bands = []
@@ -258,6 +289,27 @@ def test_n_norm_plain_below_a1_variant(g64):
     assert math.isfinite(a1v.details["witness_a1"])
     assert a1v.details["witness_lq_cap_norm"] <= 1.0 + 0.02
     assert a1v.details["construction"].startswith("iterated_potential")
+
+
+def test_n_norm_stops_reweighting_without_a_certificate(g64, monkeypatch):
+    # a reweighting solve with no certificate returns the zero extremal, which
+    # has no L^s normalization: the rounds stop, as if there were none
+    f = _indicator(g64)
+    with monkeypatch.context() as m:
+        m.setattr("capax.spaces._N_ROUNDS", 0)
+        family_only = n_norm(f, P_RL, budget=4, levels=16)
+    solves = []
+
+    def no_certificate(params, grid, obstacle, kind, tol):
+        solves.append(obstacle)
+        return ProgramResult(np.zeros(grid.shape), 0.0, 1.0, math.inf, 0.0, 1, False)
+
+    monkeypatch.setattr("capax.spaces._solve", no_certificate)
+    est = n_norm(f, P_RL, budget=4, levels=16)
+    assert len(solves) == 1
+    assert (est.lower, est.upper, est.details) == (family_only.lower, family_only.upper,
+                                                   family_only.details)
+    assert np.array_equal(est.witness.values, family_only.witness.values)
 
 
 def test_n_norm_r_larger_one_witness(g64):

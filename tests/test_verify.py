@@ -5,7 +5,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from capax.spaces import NormEstimate
+from capax.spaces import NormEstimate, _l_s_normalized
 from capax.grid import Field, Grid, Params
 from capax.families import DEFAULT_FAMILY_SEED, field_family, measure_family
 from capax.potentials import Measure, wolff_at_points
@@ -159,6 +159,16 @@ def test_upper_tri_degenerate_measures(g64, monkeypatch):
     assert not s.skipped and s.note == "nonpositive quantity"
     assert s.ratio == math.inf and rep.max_ratio == math.inf
     assert s.lhs == max(qs.values()) and s.rhs == 0.0
+
+
+def test_upper_tri_leaves_out_a_zero_candidate():
+    # on 8 nodes the first "mixed" candidate of seed 1 + 2, a ball indicator,
+    # holds no node, so it has no L^s normalization and is left out
+    g = Grid(1, 1.0, 8)
+    zero = field_family("mixed", 1 + 2, 1, g)[0]
+    assert not zero.values.any() and _l_s_normalized(zero, 2.0) is None
+    rep = check_upper_tri(P, measure_family("measures", 1, 3, g), seed=1, levels=8)
+    assert all(not s.skipped and 1.0 <= s.ratio < math.inf for s in rep.samples)
 
 
 @pytest.mark.parametrize("kind", ["riesz", "bessel"])
