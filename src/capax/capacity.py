@@ -16,7 +16,9 @@ entry points open the scope: the evaluator frame `spaces._normalized`,
 open scope and the memo is dropped when the outermost call returns, so
 results stay a pure function of the call's inputs. Outside a scope nothing
 is memoized. The scope also counts, row by row, real solves, memo hits and
-solves that did not converge.
+solves that did not converge. Every solve, `capacity`'s too, returns the
+solver's `ProgramResult`, whose arrays are read-only, so a memoized result
+is handed out as it is.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 
@@ -35,7 +36,6 @@ from .kernels import kernel_table
 from .solver import DIRECT_MAX_WORK, ProgramResult, obstacle_program
 
 __all__ = [
-    "CapacityResult",
     "capacity",
     "choquet_integral",
     "lq_cap_norm",
@@ -43,28 +43,6 @@ __all__ = [
     "solve_scope",
     "scoped",
 ]
-
-
-@dataclass
-class CapacityResult:
-    value: float
-    extremal: Field
-    feasibility_residual: float
-    gap: float
-    iterations: int
-    converged: bool
-    dual: np.ndarray | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "residual": self.feasibility_residual,
-                "gap": self.gap,
-                "iterations": self.iterations,
-                "converged": self.converged,
-            }
-        )
 
 
 @dataclass
@@ -137,8 +115,8 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float,
     and the repeats of a row within the stack, count as memo hits and are not
     solved again; the rest go to `obstacle_program`, through this module's
     binding, in one call (a grid-shaped obstacle goes grid-shaped). Only
-    converged results are stored, and a stored result's arrays are
-    read-only. Outside a scope every row solves.
+    converged results are stored; every result's arrays are read-only, so a
+    stored result is returned as it is. Outside a scope every row solves.
     """
     _check_solve(params, grid, kind, tol)
     table = kernel_table(grid, params.alpha, kind)
@@ -168,9 +146,6 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float,
             if not res.converged:
                 scope.nonconverged += 1
                 continue
-            for arr in (res.extremal, res.multiplier):
-                if arr is not None:
-                    arr.setflags(write=False)
             memo[key] = res
         if memo:
             scope.memo[prefix] = memo
@@ -179,26 +154,17 @@ def _solve(params: Params, grid, obstacle, kind: str, tol: float,
 
 
 def capacity(E: Mask, params: Params, kind: str = "riesz", tol: float = 1e-6,
-             warm: CapacityResult | None = None) -> CapacityResult:
+             warm: np.ndarray | None = None) -> ProgramResult:
     """Variational capacity of the node set E for the selected kernel.
 
     Minimizes the s-th power integral of f >= 0 subject to the potential of f
     dominating 1 at every node of E. Sets touching the box boundary carry an
-    upward truncation bias since the competitors live on the box only. A
-    `warm` result seeds the solve with its `dual` multiplier.
+    upward truncation bias since the competitors live on the box only. `warm`,
+    the `multiplier` of an earlier result or None, seeds the solve. Returns
+    the solve's read-only ProgramResult: its `value` is the capacity and its
+    `dual_value` a certified lower bound.
     """
-    grid = E.grid
-    res = _solve(params, grid, E.indicator().values, kind, tol,
-                 None if warm is None else warm.dual)
-    return CapacityResult(
-        value=res.value,
-        extremal=Field(grid, res.extremal, nonneg=True),
-        feasibility_residual=res.residual,
-        gap=res.gap,
-        iterations=res.iterations,
-        converged=res.converged,
-        dual=res.multiplier,
-    )
+    return _solve(params, E.grid, E.indicator().values, kind, tol, warm)
 
 
 def _layer_cake(vals: np.ndarray, levels: int):

@@ -240,12 +240,14 @@ def _capacity(cfg: RunConfig) -> list:
         mask = mask_from_json(_read(cfg.input))
     else:
         raise ValueError("capacity needs --set or --input")
-    result = capacity(mask, cfg.params(mask.grid), cfg.kind, tol=cfg.tol)
-    print(f"capacity value={result.value:.10g} residual={result.feasibility_residual:.3g} "
-          f"gap={result.gap:.3g} iterations={result.iterations} converged={result.converged}")
-    outputs = _output(cfg, result.to_json)
+    res = capacity(mask, cfg.params(mask.grid), cfg.kind, tol=cfg.tol)
+    print(f"capacity value={res.value:.10g} residual={res.residual:.3g} "
+          f"gap={res.gap:.3g} iterations={res.iterations} converged={res.converged}")
+    keys = ("value", "residual", "gap", "iterations", "converged")
+    outputs = _output(cfg, lambda: json.dumps({k: getattr(res, k) for k in keys}))
     if cfg.extremal_out:
-        outputs.append((cfg.extremal_out, field_to_json(result.extremal)))
+        extremal = Field(mask.grid, res.extremal, nonneg=True)
+        outputs.append((cfg.extremal_out, field_to_json(extremal)))
     return outputs
 
 
@@ -314,6 +316,8 @@ def _verify(cfg: RunConfig) -> list:
 
 def _report(cfg: RunConfig) -> list:
     doc = json.loads(_read_input(cfg, "a report JSON file"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cfg.input} holds no report: its JSON is not an object")
     print(f"inequality: {doc.get('inequality_id')}")
     print(f"max_ratio:  {doc.get('max_ratio')}")
     for s in doc.get("samples", []):

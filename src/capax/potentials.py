@@ -46,8 +46,9 @@ class Measure:
             p = tuple(float(c) for c in np.atleast_1d(np.asarray(pos, dtype=float)))
             if len(p) != self.grid.dim:
                 raise ValueError(f"atom position {p} has wrong dimension")
-            if any(abs(c) > L for c in p):
-                raise ValueError(f"atom position {p} outside the box [-{L}, {L}]^n")
+            if not all(abs(c) <= L for c in p):   # NaN too
+                raise ValueError(f"atom position {p} is not a finite point of the box "
+                                 f"[-{L}, {L}]^n")
             if not mass > 0:
                 raise ValueError(f"atom mass must be positive, got {mass}")
             norm_atoms.append((p, float(mass)))
@@ -206,4 +207,6 @@ def wolff_at_points(mu: Measure, alpha: float, s: float, points,
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != mu.grid.dim:
         raise ValueError(f"points must have shape (P, {mu.grid.dim}), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return _wolff_eval(mu, alpha, s, R, pts)

@@ -26,7 +26,9 @@ and Newton system, and leaves the batch once it is accepted, its budget is
 spent or it finds no ascent step. The bookkeeping copies rows only where
 some rows differ from the rest: the line search reads the live arrays
 themselves while every row is still searching, and the best certificates
-are replaced whole when every row improved.
+are replaced whole when every row improved. Every ProgramResult makes its
+arrays read-only, so one result can be shared, as `capacity`'s memo and
+`capacity()` share it, without a copy.
 
 The method is a projected semismooth Newton ascent on the dual (a
 primal-dual active-set method in the sense of Hintermueller-Ito-Kunisch,
@@ -114,14 +116,21 @@ PREC_FLOOR = 1e-3
 
 @dataclass
 class ProgramResult:
+    """One obstacle program's certified solution; its arrays are made read-only."""
+
     extremal: np.ndarray     # feasible minimizer estimate, grid-shaped
     value: float             # h^n * sum(extremal^s)
     residual: float          # max over {b>0} of (b - K extremal)+, relative to max(b)
-    gap: float               # value minus a certified dual lower bound
-    dual_value: float
+    gap: float               # value minus dual_value
+    dual_value: float        # certified lower bound on the optimum
     iterations: int
     converged: bool
     multiplier: np.ndarray | None = None   # dual variable of the best certificate
+
+    def __post_init__(self):
+        for arr in (self.extremal, self.multiplier):
+            if arr is not None:
+                arr.setflags(write=False)
 
 
 def _ray(lam: np.ndarray, a: np.ndarray, b: np.ndarray, c: float, s: float):

@@ -51,6 +51,8 @@ def test_capacity_command_matches_library(tmp_path):
     lib = capacity(ball_mask(Grid(1, 1.0, 64), 0.25), Params(1, 0.4, 2.0), tol=1e-7)
     assert doc["value"] == lib.value
     assert doc["converged"]
+    keys = ("value", "residual", "gap", "iterations", "converged")
+    assert doc == {k: getattr(lib, k) for k in keys}
     manifest = json.loads((tmp_path / "cap.json.manifest.json").read_text())
     assert manifest["config"]["command"] == "capacity"
     assert "wall_time_s" in manifest
@@ -203,6 +205,14 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     assert run_cli("norm", "--norm", "m", "--N", "32") == 1            # no input
     assert run_cli("capacity", "--set", "ball:0.2", "--alpha", "0.9") == 1  # bad params
     assert run_cli("report", "--input", str(tmp_path / "missing.json")) == 1
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    capsys.readouterr()
+    assert run_cli("report", "--input", str(not_object)) == 1
+    assert "JSON is not an object" in capsys.readouterr().err
+    # a NaN atom coordinate was reported as an overflowing Wolff potential
+    assert run_cli("wolff", "--atoms", "nan:1", "--N", "32") == 1
+    assert "is not a finite point of the box" in capsys.readouterr().err
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("whatever\n")
     assert run_cli("capacity", "--config", str(bad_cfg)) == 1

@@ -32,11 +32,15 @@ CASES = {
     "kernel table shape": (lambda: KernelTable(G, np.ones(16), 0.4, "riesz"),
                            "kernel table shape"),
     "atom dimension": (lambda: Measure.from_atoms(G, [[0.0, 0.0]], [1.0]), "wrong dimension"),
+    "atom position nan": (lambda: Measure.from_atoms(G, [[math.nan]], [1.0]),
+                          r"atom position \(nan,\) is not a finite point of the box"),
     "density grid": (lambda: Measure(G, (), Field(Grid(1, 1.0, 32), np.ones(32))),
                      "density grid does not match"),
     "wolff s <= 1": (lambda: wolff_potential(ATOM, 0.4, 1.0), "s must exceed 1"),
     "wolff R <= 0": (lambda: wolff_at_points(ATOM, 0.4, 2.0, [[0.1]], R=0.0),
                      "R must be positive"),
+    "wolff point nan": (lambda: wolff_at_points(ATOM, 0.4, 2.0, [[math.nan]]),
+                        "points must be finite"),
     "obstacle s <= 1": (lambda: obstacle_program(kernel_table(G, 0.4, "riesz"), BALL, 1.0),
                         "s must exceed 1"),
     "obstacle max_iter < 1": (lambda: obstacle_program(kernel_table(G, 0.4, "riesz"), BALL, 2.0,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import capax.potentials as potentials
 from capax.families import field_family
@@ -164,6 +165,26 @@ def test_wolff_mass_scaling_exact(g64):
     w1 = wolff_potential(mu, 0.3, s).values
     w2 = wolff_potential(Measure.from_atoms(g64, [[0.1]], [2.0]), 0.3, s).values
     assert np.allclose(w2, 2.0 ** (1 / (s - 1)) * w1, rtol=1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([Grid(1, 1.0, 32), Grid(2, 1.0, 8)]),
+       st.lists(st.tuples(st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=2),
+                          st.floats(0.1, 10.0)), min_size=1, max_size=3),
+       st.booleans(), st.sampled_from([math.inf, 0.5]), st.integers(-300, 300))
+@example(Grid(2, 1.0, 8), [([0.1, -0.2], 3.0)], True, math.inf, -300)
+@example(Grid(2, 1.0, 8), [([0.1, -0.2], 3.0)], True, math.inf, 300)
+def test_wolff_scales_exactly_with_the_masses_at_s2(g, atoms, with_density, R, k):
+    # at s = 2 the potential is linear in mu, and a power-of-two scaling of
+    # every mass is exact in floating point
+    bump = np.exp(-g.radii**2 / 0.1)
+
+    def wolff(scale):
+        density = Field(g, scale * bump, nonneg=True) if with_density else None
+        mu = Measure(g, tuple((pos[:g.dim], scale * m) for pos, m in atoms), density)
+        return wolff_potential(mu, 0.5 * g.dim / 2, 2.0, R).values
+
+    assert np.array_equal(wolff(2.0**k), 2.0**k * wolff(1.0))
 
 
 def test_wolff_overflow_raises_value_error():

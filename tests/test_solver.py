@@ -27,7 +27,7 @@ def test_newton_first_away_from_s2(n, N, alpha, kind, s, capacity_dual):
     for E in (ball_mask(g, 0.3), cube_mask(g, 0.5)):
         res = capacity(E, P, kind, tol=tol)
         assert res.converged
-        assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+        assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
         oracle = capacity_dual(K, np.flatnonzero(E.members), g.cell_volume, s)
         assert _agree(res.value, oracle, tol)
 
@@ -45,7 +45,7 @@ def test_cg_capped_at_free_set_size():
     members[np.argsort(-u.ravel(), kind="stable")[:955]] = True
     res = capacity(Mask(g, members.reshape(g.shape)), P, "bessel", tol=tol)
     assert res.converged
-    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
 
 
 _SHAPES = st.lists(st.tuples(st.sampled_from([ball_mask, cube_mask]), st.floats(0.2, 0.8),
@@ -76,7 +76,7 @@ def test_fft_path_agrees_with_dense_path(grid, s, kind, shapes):
     dense, fft = results
     for res in results:
         assert res.converged
-        assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+        assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
     assert _agree(dense.value, fft.value, tol)
 
 
@@ -98,7 +98,7 @@ def test_size_selected_operator(n, N, alpha, method, kind, monkeypatch):
         res = capacity(E, P, kind, tol=tol)
     assert used == {method}
     assert res.converged
-    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
     with monkeypatch.context() as m:
         m.setattr(solver, "DENSE_MAX_NODES", 0)
         fft = capacity(E, P, kind, tol=tol)
@@ -188,7 +188,7 @@ def test_fft_newton_step_is_preconditioned(monkeypatch):
         res = capacity(E, P, "riesz", tol=tol)
     assert runs and all(pre for _, pre, _, _ in runs)
     assert res.converged and res.iterations <= 15
-    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
     with monkeypatch.context() as m:
         _recording_cg(m, drop_prec=True)
         plain = capacity(E, P, "riesz", tol=tol)
@@ -208,7 +208,7 @@ def test_pcg_stops_at_certificate_accuracy(monkeypatch):
         res = capacity(E, P, "riesz", tol=tol)
     assert runs and all(run_tol == tol / 100 for _, _, _, run_tol in runs)
     assert res.converged
-    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
     with monkeypatch.context() as m:
         m.setattr(solver, "PCG_TOL_RATIO", 1e-12 / tol)
         tight_runs = _recording_cg(m)
@@ -248,7 +248,7 @@ def test_3d_preconditioner_floors_nonpositive_spectrum(alpha, positive, monkeypa
     res = capacity(ball_mask(g, 0.7), Params(3, alpha, 1.05), "riesz", tol=tol)
     assert runs and all(pre for _, pre, _, _ in runs)
     assert res.converged
-    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
 
 
 def test_3d_bessel_preconditioner_where_only_strang_symbol_is_nonpositive(monkeypatch):
@@ -265,7 +265,7 @@ def test_3d_bessel_preconditioner_where_only_strang_symbol_is_nonpositive(monkey
     res = capacity(ball_mask(g, 0.5), Params(3, alpha, 1.05), "bessel", tol=tol)
     assert runs and all(pre for _, pre, _, _ in runs)
     assert res.converged and res.iterations <= 60
-    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
 
 
 def test_scaled_inverse_without_scaling_where_fprime_vanishes():
@@ -330,7 +330,7 @@ def test_direct_newton_step_on_dense_grids(kind, s, monkeypatch):
             m.setattr(solver, "_cg", _forbid_cg)
             res = capacity(E, P, kind, tol=tol)
         assert res.converged
-        assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+        assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
         with monkeypatch.context() as m:
             m.setattr(solver, "DENSE_MAX_NODES", 0)
             fft = capacity(E, P, kind, tol=tol)
@@ -349,7 +349,7 @@ def test_cg_step_beyond_direct_work_bound(monkeypatch):
         res = capacity(E, Params(2, 0.5, 2.0), "riesz", tol=tol)
     assert runs and all(pre for _, pre, _, _ in runs)
     assert res.converged
-    assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+    assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
     # on 256 nodes in 1D, Bessel s = 1.5, K~^-2 on the N torus cut the steps
     # of balls 0.3 and 0.6 from 201 with the identity preconditioner to 47
     # (46 with K~^-2 on the 2N torus)
@@ -364,7 +364,7 @@ def test_cg_step_beyond_direct_work_bound(monkeypatch):
             res = capacity(E, P, "bessel", tol=tol)
         assert runs and all(pre for _, pre, _, _ in runs)
         assert res.converged
-        assert res.feasibility_residual <= tol and res.gap <= tol * max(res.value, 1.0)
+        assert res.residual <= tol and res.gap <= tol * max(res.value, 1.0)
         with monkeypatch.context() as m:
             m.setattr(solver, "DENSE_MAX_NODES", 0)
             fft = capacity(E, P, "bessel", tol=tol)
@@ -398,8 +398,8 @@ def test_s_near_one_gives_finite_result(kind, s):
     # the optimal ray factor (c s)^(-1/(s-1)) overflowed a float here
     res = capacity(ball_mask(Grid(1, 1.0, 64), 0.2), Params(1, 0.4, s), kind)
     assert math.isfinite(res.value) and res.value > 0
-    assert math.isfinite(res.gap) and math.isfinite(res.feasibility_residual)
-    assert np.all(np.isfinite(res.extremal.values))
+    assert math.isfinite(res.gap) and math.isfinite(res.residual)
+    assert np.all(np.isfinite(res.extremal))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
