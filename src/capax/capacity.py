@@ -16,9 +16,14 @@ entry points open the scope: the evaluator frame `spaces._normalized`,
 open scope and the memo is dropped when the outermost call returns, so
 results stay a pure function of the call's inputs. Outside a scope nothing
 is memoized. The scope also counts, row by row, real solves, memo hits and
-solves that did not converge. Every solve, `capacity`'s too, returns the
-solver's `ProgramResult`, whose arrays are read-only, so a memoized result
-is handed out as it is.
+solves that did not converge. A build that is cached once per configuration
+(`spaces._family_witnesses`) solves in a scope of its own (`_own_scope`),
+so its value never comes from a caller's memo; every call that uses it
+adopts that scope (`SolveScope.adopt`): the build's memoized rows join the
+caller's memo, so the caller solves none of them again, cold or warm, and
+the caller counts none of the build's solves but each of its unconverged
+rows. Every solve, `capacity`'s too, returns the solver's `ProgramResult`,
+whose arrays are read-only, so a memoized result is handed out as it is.
 """
 
 from __future__ import annotations
@@ -47,7 +52,12 @@ __all__ = [
 
 @dataclass
 class SolveScope:
-    """Memo and solver counters of one solve scope."""
+    """Memo and solver counters of one solve scope.
+
+    The counts leave out the solves of configuration builds, which are
+    cached across scopes (as kernel-table builds are), except that each
+    unconverged row of such a build is counted on every call that uses it.
+    """
 
     memo: dict = dataclass_field(default_factory=dict)   # key prefix -> {row bytes: result}
     solves: int = 0          # obstacle rows that reached obstacle_program
@@ -62,6 +72,14 @@ class SolveScope:
         """Counts accumulated after `before` was taken with counts()."""
         return {k: v - before[k] for k, v in self.counts().items()}
 
+    def adopt(self, build: SolveScope) -> None:
+        """Take in the scope of a cached build: its memoized rows join this
+        memo, where a row this scope already holds stays, and its
+        unconverged rows are counted here; its solves and hits are not."""
+        for prefix, rows in build.memo.items():
+            self.memo[prefix] = {**rows, **self.memo.get(prefix, {})}
+        self.nonconverged += build.nonconverged
+
 
 _SCOPE: contextvars.ContextVar = contextvars.ContextVar("capax_solve_scope", default=None)
 
@@ -73,6 +91,14 @@ def solve_scope():
     if scope is not None:
         yield scope
         return
+    with _own_scope() as scope:
+        yield scope
+
+
+@contextlib.contextmanager
+def _own_scope():
+    """Open a new solve scope, also inside an active one, and yield it. Its
+    memo and counts are its own; the enclosing scope resumes when it closes."""
     scope = SolveScope()
     token = _SCOPE.set(scope)
     try:
@@ -194,11 +220,21 @@ def _layer_cake(vals: np.ndarray, levels: int):
         idx = np.arange(breaks.size)
     else:
         # targets built from the value ratio so that exact (power-of-two)
-        # rescalings of the input select identical breakpoints
-        targets = pos_min * np.exp(np.linspace(0.0, np.log(breaks[-1] / pos_min), levels))
-        idx = np.unique(np.clip(np.searchsorted(breaks / pos_min, targets / pos_min,
-                                                side="left"),
-                                0, breaks.size - 1))
+        # rescalings of the input select identical breakpoints; where the
+        # ratio overflows (a subnormal pos_min; Python floats overflow to inf
+        # without a warning), from the base-2 logarithm of each ratio, split
+        # into its mantissas' logarithms and the exact difference of its
+        # exponents, which such rescalings leave alone too
+        if float(breaks[-1]) / pos_min < np.inf:
+            ratios = breaks / pos_min
+            targets = pos_min * np.exp(np.linspace(0.0, np.log(ratios[-1]), levels))
+            found = np.searchsorted(ratios, targets / pos_min, side="left")
+        else:
+            (m_b, e_b), (m_0, e_0) = np.frexp(breaks), np.frexp(pos_min)
+            log_ratios = np.log2(m_b) - np.log2(m_0) + (e_b - e_0)
+            found = np.searchsorted(log_ratios, np.linspace(0.0, log_ratios[-1], levels),
+                                    side="left")
+        idx = np.unique(np.clip(found, 0, breaks.size - 1))
         idx[-1] = breaks.size - 1
     # the support is {vals > 0}; then every sampled superlevel set, nested
     return np.concatenate(([0.0], breaks[idx])), distinct, idx

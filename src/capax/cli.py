@@ -318,13 +318,25 @@ def _report(cfg: RunConfig) -> list:
     doc = json.loads(_read_input(cfg, "a report JSON file"))
     if not isinstance(doc, dict):
         raise ValueError(f"{cfg.input} holds no report: its JSON is not an object")
+    samples = doc.get("samples", [])
+    if not (isinstance(samples, list) and all(map(_is_sample, samples))):
+        raise ValueError(f"{cfg.input} holds no report: its samples must be objects with a "
+                         f"sample_id and numeric lhs, rhs and ratio")
     print(f"inequality: {doc.get('inequality_id')}")
     print(f"max_ratio:  {doc.get('max_ratio')}")
-    for s in doc.get("samples", []):
+    for s in samples:
         mark = " (skipped)" if s.get("skipped") else ""
         print(f"  #{s['sample_id']}: lhs={s['lhs']:.6g} rhs={s['rhs']:.6g} "
               f"ratio={s['ratio']:.6g}{mark}")
     return _output(cfg, lambda: report_to_csv(doc))
+
+
+def _is_sample(s) -> bool:
+    """Whether `s` reads as a report sample: an object with a sample_id and
+    numbers (not booleans) for lhs, rhs and ratio."""
+    return isinstance(s, dict) and "sample_id" in s and all(
+        isinstance(s.get(k), (int, float)) and not isinstance(s.get(k), bool)
+        for k in ("lhs", "rhs", "ratio"))
 
 
 _COMMANDS = {"capacity": _capacity, "potential": _potential, "wolff": _wolff,

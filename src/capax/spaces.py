@@ -16,11 +16,27 @@ rescales the bounds by max|f| and the witness by max|f| to the evaluator's
 witness degree: 0 for the weights and test functions of m, O-tilde and n,
 1 for the majorants of kv, lambda and beta, 1/r for the extremal of f. So
 absolute homogeneity holds exactly and witnesses are in the input's units.
+`otilde_norm` also takes a list of fields on one grid, through the frame's
+list form `_normalized_all`, and runs their independent programs as one
+stack; lambda evaluates its two majorants that way.
+
+Work that does not depend on the input is done once per configuration, as
+kernel tables are built once: `n_norm`'s witnesses from the seeded mixed
+family are cached (`_family_witnesses`), built in a solve scope of their
+own, so a cached value never depends on a caller's memo or call history.
+Every call adopts the build's scope: its memoized rows join the caller's
+memo, so a cold call solves no more rows than one without the cache, and
+the caller's scope counts the build's unconverged rows, not its solves.
+This pays off where one process evaluates `n_norm` more than once in one
+configuration, as `verify`'s main3 check does once per sample; a process
+that evaluates it once does the same work as without the cache.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -28,7 +44,8 @@ import numpy as np
 # the Wolff potential and the maximal function are called through their
 # modules, whose attributes perfbench's tracer patches to count the calls
 from . import maximal, potentials
-from .capacity import choquet_integral, lq_cap_norm, solve_scope, _check_solve, _solve
+from .capacity import (choquet_integral, lq_cap_norm, solve_scope, _check_solve, _own_scope,
+                       _solve)
 from .families import DEFAULT_FAMILY_SEED, field_family
 from .grid import Field, Grid, Params, integrate, lp_norm
 from .maximal import a1_constant
@@ -80,7 +97,7 @@ class NormEstimate:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightWitness:
     weight: Field
     a1_value: float | None
@@ -92,16 +109,41 @@ def _normalized(f: Field, params: Params, kind: str, tol: float, unit,
     """Check the solver inputs; then the zero estimate if f = 0, else
     `unit(|f| / scale, scale)` in a solve scope, with scale = max|f|, its
     bounds multiplied by scale and its witness by scale**witness_degree."""
-    _check_solve(params, f.grid, kind, tol)
-    scale = float(np.max(np.abs(f.values)))
-    if scale == 0.0:
-        return NormEstimate(0.0, 0.0, Field(f.grid, np.zeros(f.grid.shape), nonneg=True))
-    with solve_scope():
-        est = unit(np.abs(f.values) / scale, scale)
-    witness = est.witness
-    if witness_degree:
-        witness = Field(f.grid, witness.values * scale**witness_degree, nonneg=True)
-    return replace(est, lower=est.lower * scale, upper=est.upper * scale, witness=witness)
+    return _normalized_all([f], params, kind, tol,
+                           lambda fhats, scales: [unit(fhats[0], scales[0])],
+                           witness_degree)[0]
+
+
+def _normalized_all(fields: list, params: Params, kind: str, tol: float, units,
+                    witness_degree: float) -> list:
+    """`_normalized` for a list of fields on one grid, in one call of
+    `units(fhats, scales)` on the nonzero fields, which returns their
+    estimates in order; [] for no fields, ValueError for several grids."""
+    if not fields:
+        return []
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("expected fields on one grid")
+    _check_solve(params, grid, kind, tol)
+    scales = [float(np.max(np.abs(f.values))) for f in fields]
+    live = [i for i, scale in enumerate(scales) if scale > 0.0]
+    found = {}
+    if live:
+        with solve_scope():
+            found = dict(zip(live, units([np.abs(fields[i].values) / scales[i] for i in live],
+                                         [scales[i] for i in live])))
+    ests = []
+    for i, scale in enumerate(scales):
+        if i not in found:
+            ests.append(NormEstimate(0.0, 0.0, Field(grid, np.zeros(grid.shape), nonneg=True)))
+            continue
+        est = found[i]
+        witness = est.witness
+        if witness_degree:
+            witness = Field(grid, witness.values * scale**witness_degree, nonneg=True)
+        ests.append(replace(est, lower=est.lower * scale, upper=est.upper * scale,
+                            witness=witness))
+    return ests
 
 
 def _best(candidates, objective) -> tuple:
@@ -245,50 +287,68 @@ def _otilde_objective(g_abs: np.ndarray, w: np.ndarray, q: float, s: float,
     return float((cell * np.sum(g_abs[nz] ** s * w[nz] ** (q - s))) ** (1.0 / s))
 
 
-def otilde_norm(g: Field, params: Params, kind: str = "riesz", tol: float = 1e-6,
-                levels: int = 32, max_rounds: int = 4) -> NormEstimate:
+def otilde_norm(g: Field | Sequence[Field], params: Params, kind: str = "riesz",
+                tol: float = 1e-6, levels: int = 32,
+                max_rounds: int = 4) -> NormEstimate | list[NormEstimate]:
     """Infimum over unit-L^q(cap) weights w of the w-weighted s-integral of g.
 
     The witness is iterated from the constructive proof: the extremal phi of
     the obstacle w^(q/s) feeds the mixture h = |g| w^(q/s-1) + delta*phi, and
     the next weight is the normalized (I h)^(s/q). Only the upper bound is a
     certified bound on the infimum; the lower field repeats it, flagged.
+
+    `g` is one Field, giving one estimate, or a sequence of Fields on one
+    grid, giving a list, as in `choquet_integral` ([] for no fields,
+    ValueError for several grids). The fields' programs are independent,
+    so they run as one stack: one L^q(cap) sweep for the first weights,
+    then in each reweighting round one `_solve` call for the obstacles of
+    the fields still reweighting and one Choquet sweep for their v^s, and
+    one sweep for the witnesses' check. Each field keeps its own stop rules.
     """
     q, s = params.q_below_s("otilde_norm"), params.s
-    grid = g.grid
-    cell = grid.cell_volume
+    single = isinstance(g, Field)
+    fields = [g] if single else list(g)
 
-    def unit(ghat, scale):
-        nq0 = lq_cap_norm(Field(grid, ghat, nonneg=True), q, params, kind, levels=levels,
-                          tol=tol)
-        best_w = ghat / nq0
-        upper = _otilde_objective(ghat, best_w, q, s, cell)
+    def units(ghats, scales):
+        grid = fields[0].grid
+        cell = grid.cell_volume
+        nq0 = lq_cap_norm([Field(grid, gh, nonneg=True) for gh in ghats], q, params, kind,
+                          levels=levels, tol=tol)
+        best_w = [gh / nq for gh, nq in zip(ghats, nq0)]
+        upper = [_otilde_objective(gh, w, q, s, cell) for gh, w in zip(ghats, best_w)]
 
+        live = list(range(len(ghats)))
         for _ in range(max_rounds):
-            obstacle = np.maximum(best_w, 0.0) ** (q / s)
-            res = _solve(params, grid, obstacle, kind, tol)
-            phi = res.extremal
-            mix = np.where(ghat > 0,
-                           ghat * np.where(best_w > 0, best_w, 1.0) ** (q / s - 1.0), 0.0)
-            h_mix = Field(grid, mix + upper * phi, nonneg=True)
-            v = potential(h_mix, params.alpha, kind).values
-            nq = choquet_integral(Field(grid, v**s, nonneg=True), params, kind,
-                                  levels=levels, tol=tol) ** (1.0 / q)
-            w_new = v ** (s / q) / nq
-            obj = _otilde_objective(ghat, w_new, q, s, cell)
-            if obj < upper:
-                improved = (upper - obj) / max(upper, 1e-300)
-                upper, best_w = obj, w_new
-                if improved < _REWEIGHT_STOP:
-                    break
-            else:
+            if not live:
                 break
+            obstacles = np.stack([np.maximum(best_w[i], 0.0) ** (q / s) for i in live])
+            vs = []
+            for i, res in zip(live, _solve(params, grid, obstacles, kind, tol)):
+                w = best_w[i]
+                mix = np.where(ghats[i] > 0,
+                               ghats[i] * np.where(w > 0, w, 1.0) ** (q / s - 1.0), 0.0)
+                h_mix = Field(grid, mix + upper[i] * res.extremal, nonneg=True)
+                vs.append(potential(h_mix, params.alpha, kind).values)
+            layers = choquet_integral([Field(grid, v**s, nonneg=True) for v in vs], params,
+                                      kind, levels=levels, tol=tol)
+            still = []
+            for i, v, layer in zip(live, vs, layers):
+                w_new = v ** (s / q) / layer ** (1.0 / q)
+                obj = _otilde_objective(ghats[i], w_new, q, s, cell)
+                if obj < upper[i]:
+                    improved = (upper[i] - obj) / max(upper[i], 1e-300)
+                    upper[i], best_w[i] = obj, w_new
+                    if improved >= _REWEIGHT_STOP:
+                        still.append(i)
+            live = still
 
-        witness = Field(grid, best_w, nonneg=True)
-        check = lq_cap_norm(witness, q, params, kind, levels=levels, tol=tol)
-        return _heuristic_lower(upper, witness, witness_lq_cap_norm=check)
+        witnesses = [Field(grid, w, nonneg=True) for w in best_w]
+        checks = lq_cap_norm(witnesses, q, params, kind, levels=levels, tol=tol)
+        return [_heuristic_lower(up, w, witness_lq_cap_norm=check)
+                for up, w, check in zip(upper, witnesses, checks)]
 
-    return _normalized(g, params, kind, tol, unit, 0)
+    ests = _normalized_all(fields, params, kind, tol, units, 0)
+    return ests[0] if single else ests
 
 
 # -- Kalton-Verbitsky norm ------------------------------------------------------
@@ -356,7 +416,12 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
     """Infimum over unit-L^(s/r)(cap) weights of the p'-integral of g against
     w^(1-p'); the a1_quasicontinuous variant restricts to the explicit
     potential-built witnesses (which are A1 weights), the plain variant admits
-    arbitrary nonnegative candidates as well."""
+    arbitrary nonnegative candidates as well.
+
+    The candidates are the witnesses of `budget` fields of the seeded mixed
+    family, which do not depend on g and are built once per configuration
+    (`_family_witnesses`), then the witness of g itself and, in the plain
+    variant, g's own profile."""
     if params.p is None or params.r is None:
         raise ValueError("n_norm needs params.p and params.r")
     if variant not in ("plain", "a1_quasicontinuous"):
@@ -372,18 +437,15 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
         def objective(ww):
             return _otilde_objective(ghat, ww.weight.values, 1.0, p_conj, cell)
 
-        hs = field_family("mixed", seed, budget, grid)
-        hs.append(Field(grid, ghat, nonneg=True))
-        built = [_a1_raw(hn, params, kind) for h in hs
-                 if (hn := _l_s_normalized(h, s)) is not None]
+        family, build = _family_witnesses(grid, params, kind, with_a1, tol, levels, seed,
+                                          budget)
+        with solve_scope() as scope:     # the frame's scope
+            scope.adopt(build)
+        built = [_a1_raw(_l_s_normalized(Field(grid, ghat, nonneg=True), s), params, kind)]
         if variant == "plain":
             built.append((ghat, "custom"))   # with_a1 is False here
-        # every witness's L^(s/r)(cap) norm in one stacked sweep
-        norms = lq_cap_norm([Field(grid, raw) for raw, _ in built], s / r, params, kind,
-                            levels=levels, tol=tol)
-        witnesses = [_weight_witness(grid, raw, nrm, construction, kind, with_a1)
-                     for (raw, construction), nrm in zip(built, norms)]
-        best, upper = _best(witnesses, objective)
+        best, upper = _best(family + _swept_witnesses(grid, built, params, kind, with_a1,
+                                                      tol, levels), objective)
 
         for _ in range(_N_ROUNDS):
             # reweighting: extremal of the obstacle w^(1/r) restarts the construction
@@ -404,6 +466,33 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
                                 witness_a1=best.a1_value, construction=best.construction)
 
     return _normalized(g, params, kind, tol, unit, 0)
+
+
+def _swept_witnesses(grid: Grid, built: list, params: Params, kind: str, with_a1: bool,
+                     tol: float, levels: int) -> tuple:
+    """The WeightWitnesses of the (raw weight, construction) pairs `built`,
+    normalized by their L^(s/r)(cap) norms from one stacked sweep."""
+    norms = lq_cap_norm([Field(grid, raw) for raw, _ in built], params.s / params.r, params,
+                        kind, levels=levels, tol=tol)
+    return tuple(_weight_witness(grid, raw, nrm, construction, kind, with_a1)
+                 for (raw, construction), nrm in zip(built, norms))
+
+
+@functools.lru_cache(maxsize=8)
+def _family_witnesses(grid: Grid, params: Params, kind: str, with_a1: bool, tol: float,
+                      levels: int, seed: int, budget: int) -> tuple:
+    """`n_norm`'s witnesses from `budget` fields of the seeded mixed family, and
+    the solve scope they were built in.
+
+    They do not depend on the input, so they are built once per configuration,
+    as kernel tables are, in a solve scope of their own: a cached value never
+    comes from a caller's memo. Every `n_norm` call adopts that scope, so its
+    memoized rows are not solved again and its unconverged rows are counted."""
+    with _own_scope() as scope:
+        built = [_a1_raw(hn, params, kind) for h in field_family("mixed", seed, budget, grid)
+                 if (hn := _l_s_normalized(h, params.s)) is not None]
+        witnesses = _swept_witnesses(grid, built, params, kind, with_a1, tol, levels)
+    return witnesses, scope
 
 
 # -- obstacle-form norm ---------------------------------------------------------
@@ -468,11 +557,13 @@ def _majorants(uhat: np.ndarray, params: Params, kind: str, grid: Grid,
     return majorants
 
 
-def _least_majorant(u: Field, params: Params, kind: str, tol: float, objective) -> NormEstimate:
-    """The least objective(f) over the `_majorants` f of |u| / max|u|, in the
-    evaluators' frame, with that f as witness."""
+def _least_majorant(u: Field, params: Params, kind: str, tol: float, objectives) -> NormEstimate:
+    """The least objective over the `_majorants` f of |u| / max|u|, in the
+    evaluators' frame, with that f as witness; `objectives` maps the list of
+    majorants to their objective values."""
     def unit(uhat, scale):
-        best, upper = _best(_majorants(uhat, params, kind, u.grid, tol), objective)
+        majorants = _majorants(uhat, params, kind, u.grid, tol)
+        (best, _), upper = _best(zip(majorants, objectives(majorants)), lambda mv: mv[1])
         return _heuristic_lower(upper, Field(u.grid, best, nonneg=True))
 
     return _normalized(u, params, kind, tol, unit, 1)
@@ -480,10 +571,12 @@ def _least_majorant(u: Field, params: Params, kind: str, tol: float, objective) 
 
 def lambda_functional(u: Field, params: Params, kind: str = "riesz",
                       tol: float = 1e-6, levels: int = 32) -> NormEstimate:
-    """Least O-norm of a nonnegative f whose potential dominates |u| at nodes."""
+    """Least O-norm of a nonnegative f whose potential dominates |u| at nodes.
+    The majorants' O-tilde programs run as one stack, in one `otilde_norm` call."""
     params.q_below_s("lambda_functional")
-    return _least_majorant(u, params, kind, tol, lambda f: otilde_norm(
-        Field(u.grid, f, nonneg=True), params, kind, tol=tol, levels=levels, max_rounds=2).upper)
+    return _least_majorant(u, params, kind, tol, lambda fs: [est.upper for est in otilde_norm(
+        [Field(u.grid, f, nonneg=True) for f in fs], params, kind, tol=tol, levels=levels,
+        max_rounds=2)])
 
 
 def beta_functional(u: Field, params: Params, kind: str = "riesz",
@@ -491,4 +584,4 @@ def beta_functional(u: Field, params: Params, kind: str = "riesz",
     """Least mixed s-q integral of such a majorizing f."""
     params.q_below_s("beta_functional")
     return _least_majorant(u, params, kind, tol,
-                           lambda f: _kv_objective(f, u.grid, params, kind))
+                           lambda fs: [_kv_objective(f, u.grid, params, kind) for f in fs])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from capax.grid import Grid, Params
+from capax.spaces import _family_witnesses
 
 
 def direct_linear_convolve(values: np.ndarray, centered: np.ndarray) -> np.ndarray:
@@ -108,3 +109,12 @@ def _dense_capacity_dual(K, idx, h, s):
 @pytest.fixture
 def capacity_dual():
     return _dense_capacity_dual
+
+
+@pytest.fixture
+def cold_family_witnesses():
+    """n_norm's cache of family witnesses, emptied before and after the test,
+    so that the test starts cold and leaves nothing it built behind."""
+    _family_witnesses.cache_clear()
+    yield _family_witnesses
+    _family_witnesses.cache_clear()

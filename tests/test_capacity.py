@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capax.grid import Field, Grid, Mask, Params, ball_mask, cube_mask
-from capax.capacity import capacity, choquet_integral, lq_cap_norm, solve_scope, _solve
+from capax.capacity import (capacity, choquet_integral, lq_cap_norm, solve_scope, _layer_cake,
+                            _solve)
 from capax.families import field_family
 from capax.kernels import kernel_table
 from capax.potentials import potential
@@ -207,6 +208,24 @@ def test_choquet_layer_cake_identities(g64, params):
     capB = capacity(B, params, tol=tol).value
     got = choquet_integral(two, params, tol=tol)
     assert abs(got / (capA + capB) - 1) <= 0.01
+
+
+@pytest.mark.filterwarnings("error")
+def test_layer_cake_samples_a_subnormal_smallest_value(params):
+    # the ratio of the largest breakpoint to 5e-324 overflows: it raised a
+    # RuntimeWarning and dropped breakpoint 0 from the sample
+    g = Grid(1, 1.0, 32)
+    fields = []
+    for tiny in (5e-324, 1e-300):
+        vals = np.zeros(g.shape)
+        vals[:8] = [tiny, *np.linspace(0.1, 1.0, 7)]
+        thresholds, distinct, idx = _layer_cake(vals, 4)
+        assert list(idx) == [0, 1, 6] and thresholds[1] == tiny
+        for k in (1, 4):   # power-of-two rescalings select the same breakpoints
+            assert list(_layer_cake(np.ldexp(vals, k), 4)[2]) == [0, 1, 6]
+        fields.append(Field(g, vals, nonneg=True))
+    subnormal, normal = choquet_integral(fields, params, levels=4)
+    assert math.isfinite(subnormal) and abs(subnormal - normal) <= 1e-12 * normal
 
 
 def test_choquet_rejects_negative(g64, params):
@@ -472,19 +491,56 @@ def test_memo_works_per_row_of_a_stack(g64, params, solve_calls):
     assert stacked[1] is first and stacked[0] is stacked[2] and stacked[0].converged
 
 
-def test_memo_does_not_leak_between_calls(g64, params, solve_calls):
+def test_memo_does_not_leak_between_calls(g64, params, solve_calls, cold_family_witnesses):
     g = Field(g64, np.exp(-g64.axis**2 / 0.08), nonneg=True)
     P = dataclasses.replace(params, r=1.0)
     a = n_norm(g, P, levels=16, budget=4)
     first = len(solve_calls)
+    # the call adopts the scope its family witnesses were built in, so no
+    # obstacle is solved twice, the build's included
+    assert len({row.tobytes() for row in solve_calls}) == first
+    # n_norm's family witnesses are built once per configuration on purpose;
+    # with that cache emptied, a second call repeats every solve of the first
+    cold_family_witnesses.cache_clear()
     b = n_norm(g, P, levels=16, budget=4)
     assert first > 0 and len(solve_calls) == 2 * first
     assert (a.lower, a.upper) == (b.lower, b.upper)
     solve_calls.clear()
+    c = n_norm(g, P, levels=16, budget=4)    # the cache is warm: fewer rows, same estimate
+    warm = len(solve_calls)
+    assert 0 < warm < first and (c.lower, c.upper) == (a.lower, a.upper)
+    solve_calls.clear()
     with solve_scope() as scope:    # the call joins an open scope
         n_norm(g, P, levels=16, budget=4)
     # each memo hit is a repeat that a call without the memo would solve again
-    assert len(solve_calls) == scope.solves == first and scope.memo_hits > 0
+    assert len(solve_calls) == scope.solves == warm and scope.memo_hits > 0
+
+
+def test_family_witness_build_counts_unconverged_rows_on_every_call(
+        g64, params, monkeypatch, cold_family_witnesses):
+    # the build's solves are not counted in the caller's scope, but its
+    # unconverged rows are, on every call that uses the built witnesses
+    mod = sys.modules["capax.capacity"]     # the package attribute is the function
+    orig = mod.obstacle_program
+    calls = []
+
+    def first_row_unconverged(table, obstacle, s, **kw):
+        results = orig(table, obstacle, s, **kw)
+        calls.append(len(obstacle))
+        if len(calls) == 1:    # the build's first sweep stack
+            results[0] = dataclasses.replace(results[0], converged=False)
+        return results
+
+    monkeypatch.setattr(mod, "obstacle_program", first_row_unconverged)
+    g = Field(g64, np.exp(-g64.axis**2 / 0.08), nonneg=True)
+    P = dataclasses.replace(params, r=1.0)
+    counts = []
+    for _ in range(2):
+        with solve_scope() as scope:
+            n_norm(g, P, levels=16, budget=4)
+        counts.append(scope.counts())
+    assert cold_family_witnesses.cache_info().hits == 1
+    assert counts[0] == counts[1] and counts[0]["nonconverged"] == 1
 
 
 def test_memoized_result_is_read_only(g64, params):

@@ -210,6 +210,14 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("report", "--input", str(not_object)) == 1
     assert "JSON is not an object" in capsys.readouterr().err
+    # a sample that is not an object ended in an AttributeError traceback, and
+    # a string lhs in a format-code error
+    for samples in ([1], [{"sample_id": 0, "lhs": "1", "rhs": 1.0, "ratio": 1.0}]):
+        bad_samples = tmp_path / "samples.json"
+        bad_samples.write_text(json.dumps({"samples": samples}))
+        assert run_cli("report", "--input", str(bad_samples)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "numeric lhs, rhs and ratio" in err
     # a NaN atom coordinate was reported as an overflowing Wolff potential
     assert run_cli("wolff", "--atoms", "nan:1", "--N", "32") == 1
     assert "is not a finite point of the box" in capsys.readouterr().err

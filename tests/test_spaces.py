@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from capax.grid import Field, Grid, Params, ball_mask
-from capax.capacity import capacity, choquet_integral, lq_cap_norm, _solve
+from capax.capacity import capacity, choquet_integral, lq_cap_norm, solve_scope, _solve
 from capax.families import DEFAULT_FAMILY_SEED, field_family
 from capax.potentials import potential
 from capax.solver import ProgramResult
@@ -396,6 +396,45 @@ def test_majorants_solve_one_stack_of_two(g64, solve_stacks):
     majorants = _majorants(uhat, P_Q, "riesz", g64, 1e-6)
     assert len(majorants) == 2 and len(solve_stacks) == 1
     assert np.array_equal(solve_stacks[0], np.stack([uhat ** (P_Q.q / P_Q.s), uhat]))
+
+
+def test_otilde_norm_of_a_field_list_matches_one_field_calls(g64, solve_stacks):
+    # the fields' programs run as one stack, whose products round in their own order
+    fields = [_indicator(g64), Field(g64, 2.0 * np.exp(-g64.axis**2 / 0.05), nonneg=True),
+              Field(g64, np.zeros(g64.shape))]
+    ests = otilde_norm(fields, P_Q, levels=16, max_rounds=2)
+    stacked = len(solve_stacks)
+    alone = [otilde_norm(f, P_Q, levels=16, max_rounds=2) for f in fields]
+    assert stacked < len(solve_stacks) - stacked
+    assert ests[2].upper == alone[2].upper == 0.0
+    for est, want in zip(ests, alone):
+        assert abs(est.upper - want.upper) <= 1e-12 * want.upper
+        assert est.lower == est.upper and est.flags == want.flags
+        check, want_check = (e.details.get("witness_lq_cap_norm", 0.0) for e in (est, want))
+        assert abs(check - want_check) <= 1e-12 * want_check
+    assert otilde_norm([], P_Q) == []
+    with pytest.raises(ValueError, match="one grid"):
+        otilde_norm([fields[0], _indicator(Grid(1, 1.0, 32))], P_Q, levels=16)
+
+
+def test_n_norm_builds_family_witnesses_once_per_configuration(g64, cold_family_witnesses):
+    f = Field(g64, np.exp(-g64.axis**2 / 0.05), nonneg=True)
+
+    def estimate():
+        est = n_norm(f, P_RL, budget=4, levels=16)
+        return est.lower, est.upper, est.details, est.witness.values.tobytes()
+
+    cold = estimate()
+    warm = estimate()
+    assert cold_family_witnesses.cache_info()[:2] == (1, 1)   # one hit, one miss
+    assert warm == cold
+    # a cold build in an open scope whose memo already holds the family's
+    # rows: the build solves in a scope of its own, so its value is the same
+    with solve_scope():
+        n_norm(_indicator(g64), P_RL, budget=4, levels=16)
+        capacity(ball_mask(g64, 0.3), P_RL)
+        cold_family_witnesses.cache_clear()
+        assert estimate() == cold
 
 
 def test_dyadic_cubes_solve_one_stack(g64, solve_stacks):

@@ -257,6 +257,15 @@ def test_main3_pairing(g64):
     assert rep.max_ratio == 0.0
 
 
+def test_main3_report_is_the_same_with_n_norms_cache_warm(g64, cold_family_witnesses):
+    # the first run builds n_norm's family witnesses, in a scope of their own
+    # whose solves the report does not count; the second finds them built
+    cold = report_to_json(run_check("main3", P, g64, count=3, levels=16, budget=4))
+    warm = report_to_json(run_check("main3", P, g64, count=3, levels=16, budget=4))
+    assert cold_family_witnesses.cache_info().hits > 0
+    assert warm == cold and json.loads(cold)["meta"]["solver"]["solves"] > 0
+
+
 def test_main2_limit_toward_csim(g64):
     # constant unit-norm weight and q near s reproduce the unweighted ratios
     s = P.s
