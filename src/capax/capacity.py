@@ -6,31 +6,31 @@ a stack of them at a time, and every solver input is checked by one helper,
 list of fields on one grid: on grids of at most 64 nodes the sweep sends
 the supports and sampled superlevel sets of all the fields as stacks of at
 most grid.size rows, so `spaces.n_norm` sweeps the L^(s/r)(cap) norms of
-all its witnesses at once. Inside a solve scope (`solve_scope`, or a
-function decorated with `scoped`) `_solve` keeps a memo with one entry per
-obstacle row, so each distinct obstacle program is solved once per scope:
-Choquet sweeps of different fields often share superlevel sets, and the
-evaluators in `spaces` rebuild the same witnesses. The outermost public
-entry points open the scope: the evaluator frame `spaces._normalized`,
-`verify`'s checks and `run_check`, and `cli.run`; nested calls join the
-open scope and the memo is dropped when the outermost call returns, so
-results stay a pure function of the call's inputs. Outside a scope nothing
-is memoized. The scope also counts, row by row, real solves, memo hits and
-solves that did not converge. A build that is cached once per configuration
-(`spaces._family_witnesses`) solves in a scope of its own (`_own_scope`),
-so its value never comes from a caller's memo; every call that uses it
-adopts that scope (`SolveScope.adopt`): the build's memoized rows join the
-caller's memo, so the caller solves none of them again, cold or warm, and
-the caller counts none of the build's solves but each of its unconverged
-rows. Every solve, `capacity`'s too, returns the solver's `ProgramResult`,
-whose arrays are read-only, so a memoized result is handed out as it is.
+all its witnesses at once. Inside a solve scope (`solve_scope`) `_solve`
+keeps a memo with one entry per obstacle row, so each distinct obstacle
+program is solved once per scope: Choquet sweeps of different fields often
+share superlevel sets, and the evaluators in `spaces` rebuild the same
+witnesses. The outermost public entry points open the scope: the evaluator
+frame `spaces._normalized`, `verify`'s sample loop `_report` (and
+`check_upper_tri`, whose candidates solve before it) and `run_check`, and
+`cli.run`; nested calls join the open scope and the memo is dropped when
+the outermost call returns, so results stay a pure function of the call's
+inputs. Outside a scope nothing is memoized. The scope also counts, row by
+row, real solves, memo hits and solves that did not converge. A build that
+is cached once per configuration (`spaces._family_witnesses`) solves in a
+scope of its own (`_own_scope`), so its value never comes from a caller's
+memo; every call that uses it adopts that scope (`SolveScope.adopt`): the
+build's memoized rows join the caller's memo, so the caller solves none of
+them again, cold or warm, and the caller counts none of the build's solves
+but each of its unconverged rows. Every solve, `capacity`'s too, returns
+the solver's `ProgramResult`, whose arrays are read-only, so a memoized
+result is handed out as it is.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 
@@ -46,7 +46,6 @@ __all__ = [
     "lq_cap_norm",
     "SolveScope",
     "solve_scope",
-    "scoped",
 ]
 
 
@@ -105,15 +104,6 @@ def _own_scope():
         yield scope
     finally:
         _SCOPE.reset(token)
-
-
-def scoped(fn):
-    """Run fn inside a solve scope (joining the active one, if any)."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with solve_scope():
-            return fn(*args, **kwargs)
-    return wrapper
 
 
 def _check_solve(params: Params, grid, kind: str, tol: float) -> None:

@@ -55,9 +55,11 @@ def ball_stencil(grid: Grid, radius: float) -> np.ndarray:
 def ball_sums(grid: Grid, values: np.ndarray, radius: float) -> np.ndarray:
     """Node-counting sums of `values` over the ball about every node, clipped at 0.
 
-    A ball that holds no node of the support of `values` sums to exactly 0:
-    the torus product leaves rounding residue there, so the support count,
-    the same product on the support indicator rounded to an integer, zeroes it.
+    `values` is grid-shaped or a stack of grid-shaped rows, each summed on its
+    own, bit for bit as alone, in one transform. A ball that holds no node of
+    the support of a row sums to exactly 0: the torus product leaves rounding
+    residue there, so the support count, the same product on the support
+    indicator rounded to an integer, zeroes it.
     """
     both = np.stack([values, values != 0])   # one transform for the sums and the counts
     sums, counts = torus_convolve(both, padded_spectrum(ball_stencil(grid, radius)))
@@ -78,12 +80,9 @@ def maximal_function(w: Field, truncated: bool = False) -> Field:
         best = np.max(interval_mass(grid, vals, x, rr) / length, axis=0)
     else:
         best = np.full(grid.shape, -np.inf)
-        stack = np.stack([vals, vals != 0, np.ones(grid.shape)])
+        stack = np.stack([vals, np.ones(grid.shape)])   # the sums and the node counts
         for r in radii:
-            # one product gives the sums, the support counts and the node counts;
-            # as in `ball_sums`, a ball without a support node sums to exactly 0
-            sums, support, counts = torus_convolve(stack, padded_spectrum(ball_stencil(grid, r)))
-            sums = np.where(np.rint(support) > 0, np.maximum(sums, 0.0), 0.0)
+            sums, counts = ball_sums(grid, stack, r)
             best = np.maximum(best, sums / np.maximum(np.rint(counts), 1.0))
     return Field(grid, best, nonneg=True)
 

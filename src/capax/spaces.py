@@ -174,10 +174,8 @@ def a1_weight_witness(h: Field, params: Params, kind: str, tol: float = 1e-6,
     r <= 1 and w = I[h (I h)^(r-1)] for r > 1, normalized in L^(s/r)(cap)."""
     if params.r is None:
         raise ValueError("params.r must be set")
-    raw, construction = _a1_raw(h, params, kind)
-    nrm = lq_cap_norm(Field(h.grid, raw, nonneg=True), params.s / params.r, params, kind,
-                      levels=levels, tol=tol)
-    return _weight_witness(h.grid, raw, nrm, construction, kind, with_a1)
+    return _swept_witnesses(h.grid, [_a1_raw(h, params, kind)], params, kind, with_a1, tol,
+                            levels)[0]
 
 
 def _a1_raw(h: Field, params: Params, kind: str) -> tuple:
@@ -188,14 +186,6 @@ def _a1_raw(h: Field, params: Params, kind: str) -> tuple:
         return v**r, "iterated_potential_r<=1"
     inner = Field(h.grid, h.values * v ** (r - 1.0), nonneg=True)
     return potential(inner, params.alpha, kind).values, "iterated_potential_r>1"
-
-
-def _weight_witness(grid: Grid, raw: np.ndarray, nrm: float, construction: str, kind: str,
-                    with_a1: bool) -> WeightWitness:
-    """The weight raw / nrm, with its A1 constant when `with_a1`."""
-    w_unit = Field(grid, raw / nrm, nonneg=True)
-    a1 = a1_constant(w_unit, truncated=(kind == "bessel")) if with_a1 else None
-    return WeightWitness(w_unit, a1, construction)
 
 
 # -- Sobolev multiplier type norm ---------------------------------------------
@@ -281,10 +271,17 @@ def m_norm(f: Field, params: Params, kind: str = "riesz", budget: int = 32,
 
 def _otilde_objective(g_abs: np.ndarray, w: np.ndarray, q: float, s: float,
                       cell: float) -> float:
+    """(cell * the sum of g^s w^(q-s) over g > 0)^(1/s), inf if w vanishes there; a
+    term whose powers leave the float range (0 * inf at subnormal g, w) is taken in logs."""
     nz = g_abs > 0
-    if np.any(w[nz] <= 0):
+    g, w = g_abs[nz], w[nz]
+    if np.any(w <= 0):
         return np.inf
-    return float((cell * np.sum(g_abs[nz] ** s * w[nz] ** (q - s))) ** (1.0 / s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = g**s * w ** (q - s)
+        out = ~np.isfinite(terms)
+        terms[out] = np.exp(s * np.log(g[out]) + (q - s) * np.log(w[out]))
+    return float((cell * np.sum(terms)) ** (1.0 / s))
 
 
 def otilde_norm(g: Field | Sequence[Field], params: Params, kind: str = "riesz",
@@ -471,11 +468,16 @@ def n_norm(g: Field, params: Params, kind: str = "riesz", variant: str = "plain"
 def _swept_witnesses(grid: Grid, built: list, params: Params, kind: str, with_a1: bool,
                      tol: float, levels: int) -> tuple:
     """The WeightWitnesses of the (raw weight, construction) pairs `built`,
-    normalized by their L^(s/r)(cap) norms from one stacked sweep."""
+    normalized by their L^(s/r)(cap) norms from one stacked sweep, each with
+    its A1 constant when `with_a1`."""
     norms = lq_cap_norm([Field(grid, raw) for raw, _ in built], params.s / params.r, params,
                         kind, levels=levels, tol=tol)
-    return tuple(_weight_witness(grid, raw, nrm, construction, kind, with_a1)
-                 for (raw, construction), nrm in zip(built, norms))
+    witnesses = []
+    for (raw, construction), nrm in zip(built, norms):
+        w = Field(grid, raw / nrm, nonneg=True)
+        a1 = a1_constant(w, truncated=(kind == "bessel")) if with_a1 else None
+        witnesses.append(WeightWitness(w, a1, construction))
+    return tuple(witnesses)
 
 
 @functools.lru_cache(maxsize=8)

@@ -7,10 +7,12 @@ homogeneity invariance, and refinement stability instead.
 
 Every check runs through one sample loop, `_report`: the check supplies only
 `sample(i, item)`, which returns one `Sample`, and the report's max_ratio is
-the largest ratio among the samples that were not skipped. A zero or
-degenerate input is a skipped sample (`_skip`). A ratio sample (`_ratio`)
-skips 0/0 and makes positive/0 an infinite ratio, which fails hard. A band
-sample (`_band`) is the max/min of positive quantities; a quantity that is not
+the largest ratio among the samples that were not skipped. The loop runs in
+one solve scope (see `capacity`); `check_upper_tri`, whose candidates solve
+before it, opens that scope around its whole body. A zero or degenerate
+input is a skipped sample (`_skip`). A ratio sample (`_ratio`) skips 0/0 and
+makes positive/0 an infinite ratio, which fails hard. A band sample
+(`_band`) is the max/min of positive quantities; a quantity that is not
 positive makes the band infinite, again a hard failure.
 
 A check reads its exponents from its `Params` alone and runs on the family it
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .capacity import capacity, choquet_integral, lq_cap_norm, scoped, solve_scope
+from .capacity import capacity, choquet_integral, lq_cap_norm, solve_scope
 from .families import DEFAULT_FAMILY_SEED, field_family, measure_family
 from .grid import Field, Grid, Mask, Params, integrate
 from .potentials import Measure, potential, wolff_at_points, wolff_potential
@@ -105,16 +107,16 @@ def _band(i: int, note: str, quantities: dict) -> Sample:
 
 def _report(inequality_id: str, params: Params, seed: int, items,
             sample: Callable, **meta) -> ConstantReport:
-    """The one sample loop: `sample(i, item)` for each item; max_ratio is taken
-    over the samples that were not skipped (0 if there are none)."""
-    samples = [sample(i, item) for i, item in enumerate(items)]
+    """The one sample loop, in one solve scope: `sample(i, item)` for each item;
+    max_ratio is taken over the samples that were not skipped (0 if none)."""
+    with solve_scope():
+        samples = [sample(i, item) for i, item in enumerate(items)]
     max_ratio = max((s.ratio for s in samples if not s.skipped), default=0.0)
     return ConstantReport(inequality_id, params, seed, max_ratio, samples, [], meta)
 
 
 # -- capacitary strong type inequalities ----------------------------------------
 
-@scoped
 def check_adams(params: Params, fields, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                 tol: float = 1e-6) -> ConstantReport:
@@ -135,7 +137,6 @@ def check_adams(params: Params, fields, kind: str = "riesz",
     return _report("adams", replace(params, q=q), seed, fields, sample)
 
 
-@scoped
 def check_csim(params: Params, fields, kind: str = "riesz",
                seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                tol: float = 1e-6) -> ConstantReport:
@@ -165,7 +166,6 @@ def main2_pairs(grid: Grid, params: Params, count: int, kind: str = "riesz",
     return pairs
 
 
-@scoped
 def check_main2(params: Params, pairs, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 32,
                 tol: float = 1e-6) -> ConstantReport:
@@ -188,7 +188,6 @@ def check_main2(params: Params, pairs, kind: str = "riesz",
     return _report("main2", params, seed, pairs, sample)
 
 
-@scoped
 def check_ibp(params: Params, fields, kind: str = "riesz",
               seed: int = DEFAULT_FAMILY_SEED, t: float = 2.0) -> ConstantReport:
     """Pointwise integrating-by-parts bound (I f)^t <= A * I[f (I f)^(t-1)]."""
@@ -212,7 +211,6 @@ def check_ibp(params: Params, fields, kind: str = "riesz",
 
 # -- Wolff potential checks ------------------------------------------------------
 
-@scoped
 def check_boundedness(params: Params, mu_family, R: float = math.inf,
                       seed: int = DEFAULT_FAMILY_SEED) -> ConstantReport:
     """Global max of W^R against 2^((n - alpha s)/(s-1)) times the supp max of W^(2R)."""
@@ -246,7 +244,6 @@ def _deposited_density(mu: Measure) -> np.ndarray:
     return dens
 
 
-@scoped
 def check_upper_tri(params: Params, mu_family, kind: str = "riesz",
                     seed: int = DEFAULT_FAMILY_SEED, budget: int = 8,
                     levels: int = 32, tol: float = 1e-6) -> ConstantReport:
@@ -266,54 +263,54 @@ def check_upper_tri(params: Params, mu_family, kind: str = "riesz",
     r, s = params.r, params.s
     if r is None or not 0 < r < s:
         raise ValueError("check_upper_tri needs params.r in (0, s)")
-    grid = mu_family[0].grid if mu_family else None
-    cands = field_family("mixed", seed + 2, budget, grid) if grid is not None else []
-    cand_pot = []
-    cand_unit = []
-    for h in cands:
-        hn = _l_s_normalized(h, s)
-        if hn is None:
-            continue
-        cand_pot.append(potential(hn, params.alpha, kind).values)
-        u_nrm = lq_cap_norm(h, s / r, params, kind, levels=levels, tol=tol)
-        cand_unit.append(h.values / u_nrm)
+    with solve_scope():   # the candidates' sweeps share the samples' scope
+        grid = mu_family[0].grid if mu_family else None
+        cands = field_family("mixed", seed + 2, budget, grid) if grid is not None else []
+        cand_pot = []
+        cand_unit = []
+        for h in cands:
+            hn = _l_s_normalized(h, s)
+            if hn is None:
+                continue
+            cand_pot.append(potential(hn, params.alpha, kind).values)
+            u_nrm = lq_cap_norm(h, s / r, params, kind, levels=levels, tol=tol)
+            cand_unit.append(h.values / u_nrm)
 
-    wolff_R = 1.0 if kind == "bessel" else math.inf
-    mu_exp = (s - 1.0) * r / (s - r)
-    cap_exp = (s - 1.0) * s / (s - r)
+        wolff_R = 1.0 if kind == "bessel" else math.inf
+        mu_exp = (s - 1.0) * r / (s - r)
+        cap_exp = (s - 1.0) * s / (s - r)
 
-    def sample(i, mu):
-        if mu.total_mass <= 0:
-            return _skip(i, "zero measure")
-        dens = _deposited_density(mu)
+        def sample(i, mu):
+            if mu.total_mass <= 0:
+                return _skip(i, "zero measure")
+            dens = _deposited_density(mu)
 
-        def pairing(v):   # the integral of v dmu
-            return integrate(Field(grid, v * dens))
+            def pairing(v):   # the integral of v dmu
+                return integrate(Field(grid, v * dens))
 
-        w = wolff_potential(mu, params.alpha, s, wolff_R).values
-        w_pairing = pairing(w**mu_exp)
-        w_choquet = choquet_integral(Field(grid, w**cap_exp, nonneg=True), params, kind,
-                                     levels=levels, tol=tol)
+            w = wolff_potential(mu, params.alpha, s, wolff_R).values
+            w_pairing = pairing(w**mu_exp)
+            w_choquet = choquet_integral(Field(grid, w**cap_exp, nonneg=True), params, kind,
+                                         levels=levels, tol=tol)
 
-        traces = [pairing(v**r) for v in cand_pot]
-        i_mu = potential(Field(grid, dens, nonneg=True), params.alpha, kind).values
-        hn = _l_s_normalized(Field(grid, i_mu ** (1.0 / (s - 1.0)), nonneg=True), s)
-        if hn is not None:
-            traces.append(pairing(potential(hn, params.alpha, kind).values**r))
+            traces = [pairing(v**r) for v in cand_pot]
+            i_mu = potential(Field(grid, dens, nonneg=True), params.alpha, kind).values
+            hn = _l_s_normalized(Field(grid, i_mu ** (1.0 / (s - 1.0)), nonneg=True), s)
+            if hn is not None:
+                traces.append(pairing(potential(hn, params.alpha, kind).values**r))
 
-        pairings = [pairing(u) for u in cand_unit]
-        u_nrm = w_choquet ** (r / s)
-        if u_nrm > 0:
-            pairings.append(w_pairing / u_nrm)
+            pairings = [pairing(u) for u in cand_unit]
+            u_nrm = w_choquet ** (r / s)
+            if u_nrm > 0:
+                pairings.append(w_pairing / u_nrm)
 
-        return _band(i, "nonpositive quantity", {
-            "trace_lb": max(traces, default=0.0), "pairing_lb": max(pairings, default=0.0),
-            "wolff_mu": w_pairing ** ((s - r) / s), "wolff_cap": w_choquet ** ((s - r) / s)})
+            return _band(i, "nonpositive quantity", {
+                "trace_lb": max(traces, default=0.0), "pairing_lb": max(pairings, default=0.0),
+                "wolff_mu": w_pairing ** ((s - r) / s), "wolff_cap": w_choquet ** ((s - r) / s)})
 
-    return _report("upper_tri", params, seed, mu_family, sample)
+        return _report("upper_tri", params, seed, mu_family, sample)
 
 
-@scoped
 def check_wolff_weak(mu: Measure, t: float, params: Params, kind: str = "riesz",
                      a_values=(2.0, 4.0, 8.0), tol: float = 1e-6,
                      seed: int = DEFAULT_FAMILY_SEED) -> ConstantReport:
@@ -333,7 +330,6 @@ def check_wolff_weak(mu: Measure, t: float, params: Params, kind: str = "riesz",
 
 # -- norm equivalence bands ------------------------------------------------------
 
-@scoped
 def check_newnorm2(params: Params, u_family, kind: str = "riesz",
                    seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                    tol: float = 1e-6) -> ConstantReport:
@@ -351,7 +347,6 @@ def check_newnorm2(params: Params, u_family, kind: str = "riesz",
     return _report("newnorm2", params, seed, u_family, sample)
 
 
-@scoped
 def check_kv_equiv(params: Params, g_family, kind: str = "riesz",
                    seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                    tol: float = 1e-6) -> ConstantReport:
@@ -367,7 +362,6 @@ def check_kv_equiv(params: Params, g_family, kind: str = "riesz",
     return _report("kv_equiv", params, seed, g_family, sample)
 
 
-@scoped
 def check_main3(params: Params, pair_family, kind: str = "riesz",
                 seed: int = DEFAULT_FAMILY_SEED, levels: int = 24,
                 tol: float = 1e-6, budget: int = 8) -> ConstantReport:

@@ -445,3 +445,75 @@ def test_dyadic_cubes_solve_one_stack(g64, solve_stacks):
     assert cubes.shape == (7,) + g64.shape     # sizes 64, 32, ..., 1: log2(64) + 1
     assert [int(c.sum()) for c in cubes] == [64, 32, 16, 8, 4, 2, 1]
     assert ratio > 0 and size in (64, 32, 16, 8, 4, 2, 1)
+
+
+def test_otilde_objective_takes_out_of_range_terms_in_logs():
+    # at subnormal g and w, g^s underflows to 0 and w^(q-s) overflows: 0 * inf
+    g, w = np.array([1.6e-322, 0.5]), np.array([2.1e-322, 0.25])
+    assert _otilde_objective(g, w, 1.0, 2.0, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("kind, upper", [("riesz", 0.046702), ("bessel", 0.047645)])
+def test_n_norm_keeps_a_candidate_with_subnormal_values(kind, upper):
+    # g's own profile is the best candidate; its objective used to be NaN, never chosen
+    g = field_family("bumps", DEFAULT_FAMILY_SEED + 5, 3, Grid(2, 1.0, 16))[2]
+    P = Params(2, 0.7, 2.0, q=1.5, p=2.0, r=1.0)
+    with np.errstate(invalid="raise", over="raise"):
+        est = n_norm(g, P, kind, levels=16, budget=8, seed=DEFAULT_FAMILY_SEED + 4)
+    assert est.details["construction"] == "custom"
+    assert est.upper == pytest.approx(upper, rel=1e-5)
+
+
+_FINITE_PARAMS = {1: Params(1, 0.4, 2.0, q=1.5, p=2.0, r=1.0),
+                  2: Params(2, 0.7, 2.0, q=1.5, p=2.0, r=1.0)}
+_FINITE_CALLS = {   # name -> the call on (field, params, kind)
+    "m_norm": lambda f, P, kind: m_norm(f, P, kind, budget=2, levels=8),
+    "otilde_norm": lambda f, P, kind: otilde_norm(f, P, kind, levels=8, max_rounds=2),
+    "kv_norm": lambda f, P, kind: kv_norm(f, P, kind, levels=8),
+    "n_norm": lambda f, P, kind: n_norm(f, P, kind, levels=8, budget=2),
+    "f_norm": lambda f, P, kind: f_norm(f, P, kind),
+    "lambda_functional": lambda f, P, kind: lambda_functional(f, P, kind, levels=8),
+    "beta_functional": lambda f, P, kind: beta_functional(f, P, kind, levels=8),
+    "lq_cap_norm": lambda f, P, kind: lq_cap_norm(f, P.q, P, kind, levels=8),
+}
+
+
+@st.composite
+def _narrow_bumps(draw):
+    """One or two Gaussian bumps centred at nodes of Grid(1, 1, 32) or
+    Grid(2, 1, 8), each worth its amplitude in [0.5, 2] times e^(-t) at k
+    spacings from its centre: for t in [720, 735] its tail goes subnormal
+    there (e^-708 is the smallest normal float), and vanishes further out."""
+    grid = draw(st.sampled_from([Grid(1, 1.0, 32), Grid(2, 1.0, 8)]))
+    N = grid.points_per_axis
+    values = np.zeros(grid.shape)
+    for _ in range(draw(st.integers(1, 2))):
+        center = grid.axis[draw(st.lists(st.integers(0, N - 1), min_size=grid.dim,
+                                         max_size=grid.dim))]
+        t = draw(st.floats(720.0, 735.0) | st.floats(0.5, 20.0))
+        sigma = draw(st.integers(1, N // 2)) * grid.spacing / math.sqrt(2.0 * t)
+        z = np.sum((grid.nodes - center) ** 2, axis=1) / sigma**2
+        values += draw(st.floats(0.5, 2.0)) * np.exp(-0.5 * z).reshape(grid.shape)
+    return Field(grid, values, nonneg=True)
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_CALLS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(f=_narrow_bumps(), kind=st.sampled_from(["riesz", "bessel"]))
+@example(f=field_family("bumps", DEFAULT_FAMILY_SEED + 5, 3, Grid(2, 1.0, 16))[2],
+         kind="riesz").via("subnormal g and w: a NaN N objective")
+def test_every_output_is_finite_or_a_value_error(name, f, kind):
+    # with floating-point errors raised, a NaN or inf that an evaluator
+    # swallows internally fails the test too
+    P = _FINITE_PARAMS[f.grid.dim]
+    with np.errstate(invalid="raise", over="raise"):
+        try:
+            out = _FINITE_CALLS[name](f, P, kind)
+        except ValueError:
+            return
+    if isinstance(out, float):
+        assert math.isfinite(out)
+        return
+    numbers = [out.lower, out.upper] + [v for v in out.details.values()
+                                        if isinstance(v, float)]
+    assert all(math.isfinite(v) for v in numbers)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -15,6 +16,55 @@ from capax.verify import (check_adams, check_boundedness, check_csim, check_ibp,
                           report_to_json, run_check)
 
 P = Params(1, 0.4, 2.0, q=1.5, p=2.0, r=1.0)
+
+
+@pytest.fixture
+def solve_scopes(monkeypatch):
+    """(scope, rows) for each call to the capacity module's obstacle_program:
+    the solve scope it ran in (None outside any) and its number of obstacle rows."""
+    mod = sys.modules["capax.capacity"]     # the package attribute is the function
+    orig = mod.obstacle_program
+    calls = []
+
+    def recording(table, obstacle, s, **kw):
+        rows = 1 if obstacle.shape == table.grid.shape else len(obstacle)
+        calls.append((mod._SCOPE.get(), rows))
+        return orig(table, obstacle, s, **kw)
+
+    monkeypatch.setattr(mod, "obstacle_program", recording)
+    return calls
+
+
+def _rows_in_one_scope(calls) -> int:
+    """The rows of `calls`, after asserting that they all ran in one open scope."""
+    scope = calls[0][0]
+    assert scope is not None and all(other is scope for other, _ in calls)
+    return sum(rows for _, rows in calls)
+
+
+def test_a_direct_check_call_solves_in_one_scope(g64, solve_scopes):
+    # the sample loop opens the scope, so the second, repeated sample solves no row
+    f = field_family("mixed", DEFAULT_FAMILY_SEED, 2, g64)[1]
+    once = check_adams(P, [f], levels=16)
+    rows = _rows_in_one_scope(solve_scopes)
+    solve_scopes.clear()
+    twice = check_adams(P, [f, f], levels=16)
+    assert _rows_in_one_scope(solve_scopes) == rows
+    assert [s.ratio for s in twice.samples] == [once.samples[0].ratio] * 2
+
+
+def test_upper_tri_candidates_solve_in_the_samples_scope(solve_scopes):
+    # the candidates' L^(s/r)(cap) sweeps run before the sample loop, in its scope
+    g = Grid(1, 1.0, 32)
+    mu = measure_family("measures", 1, 1, g)[0]
+    once = check_upper_tri(P, [mu], budget=2, levels=8)
+    rows = _rows_in_one_scope(solve_scopes)
+    solve_scopes.clear()
+    twice = check_upper_tri(P, [mu, mu], budget=2, levels=8)
+    assert _rows_in_one_scope(solve_scopes) == rows
+    assert [s.quantities for s in twice.samples] == [once.samples[0].quantities] * 2
+    # the sample loop made the checks' decorator redundant
+    assert not hasattr(sys.modules["capax.capacity"], "scoped")
 
 
 def test_family_determinism(g64):
