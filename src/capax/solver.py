@@ -32,8 +32,11 @@ arrays read-only, so one result can be shared, as `capacity`'s memo and
 
 The method is a projected semismooth Newton ascent on the dual (a
 primal-dual active-set method in the sense of Hintermueller-Ito-Kunisch,
-SIAM J. Optim. 2002), seeded with the warm multiplier or with the obstacle
-scaled along its optimal ray. Certificates never rely on the raw iterates:
+SIAM J. Optim. 2002), seeded with the warm multiplier or, cold, with the
+obstacle on its top level set {b >= SEED_LEVEL max b}, scaled along its
+optimal ray: the first free set then lies near the last one, where a
+whole-support seed spends Newton steps shrinking it. An indicator obstacle
+is its own top level set. Certificates never rely on the raw iterates:
 the primal value is evaluated at an exactly rescaled feasible point, and the
 gap against the Fenchel dual value of a nonnegative multiplier. The ascent
 keeps every multiplier at its optimal ray point, where the dual value it
@@ -108,6 +111,19 @@ DIRECT_MAX_WORK = 64**3
 # PCG steps on average instead of 9.1 at a fixed 1e-12, and every solve
 # still takes one Newton step.
 PCG_TOL_RATIO = 1e-2
+
+# A row without a usable warm start is seeded with its obstacle b restricted
+# to the top level set {b >= SEED_LEVEL * max b}, scaled along its optimal
+# ray; a {0, c} obstacle is its own top level set, so capacities and Choquet
+# sweeps keep the whole-support seed bit for bit. On smooth obstacles the
+# whole support starts the active-set iteration far from its last free set
+# (64 -> 30 -> 24 -> 21 -> 20 nodes over 5 Newton steps on a norms1d lambda
+# majorant row). Direct Newton steps over the first 84 default-seed norms1d
+# ops: 1,953 with the whole support, 1,833 at level 0.5, 1,739 at 0.7, 1,756
+# at 0.8 and 1,902 at 1.0 (the nodes of the max only). On the 288 cases of
+# `tools/solver_battery.py` the whole-support seed certifies 213 in 77,040
+# steps and 13.6 s, this one 258 in 29,285 steps and 3.1 s (2-core x86-64).
+SEED_LEVEL = 0.7
 
 # Floor of f' in the PCG preconditioner, relative to its max on the free set:
 # it keeps 1/sqrt(f') finite where f' underflows as s -> 1+.
@@ -445,8 +461,10 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
     `warm` is None or an array of the obstacle's shape holding nonnegative
     multipliers from earlier solves (the `multiplier` of a ProgramResult).
     A row's restriction to {b > 0} seeds that row's Newton run when it is
-    nonzero there; otherwise the seed is the row's obstacle itself, scaled
-    along its optimal ray.
+    nonzero there; otherwise the seed is the row's obstacle restricted to
+    its top level set {b >= SEED_LEVEL * max b}, scaled along its optimal
+    ray. On an obstacle with values in {0, c} that is the obstacle itself,
+    the same seed as warm=obstacle.
 
     A result is accepted only on its certificates: gap <= tol * max(value, 1)
     between the value at an exactly rescaled feasible point and a Fenchel dual
@@ -479,12 +497,12 @@ def obstacle_program(table: KernelTable, obstacle: np.ndarray, s: float,
     if solve.size:
         if solve.size < len(b):
             b, b_max = b[solve], b_max[solve]
-        lam = b
+        lam = np.where(b >= SEED_LEVEL * b_max[:, None], b, 0.0)   # b itself on {0, c} rows
         if warm is not None:
             seed = np.where(b > 0.0, np.asarray(warm, dtype=float).reshape(-1, grid.size)[solve],
                             0.0)
             np.maximum(seed, 0.0, out=seed)
-            lam = np.where((seed > 0.0).any(axis=1)[:, None], seed, b)
+            lam = np.where((seed > 0.0).any(axis=1)[:, None], seed, lam)
         method = "dense" if grid.size <= DENSE_MAX_NODES else "fast"
         solved = _newton_ascent(table, method, b, lam, s, b_max, tol, max_iter)
         for row, res in zip(solve.tolist(), solved):

@@ -18,7 +18,8 @@ witness degree: 0 for the weights and test functions of m, O-tilde and n,
 absolute homogeneity holds exactly and witnesses are in the input's units.
 `otilde_norm` also takes a list of fields on one grid, through the frame's
 list form `_normalized_all`, and runs their independent programs as one
-stack; lambda evaluates its two majorants that way.
+stack; lambda evaluates its two majorants that way, without the witnesses'
+L^q(cap) check, since it keeps only the upper bounds.
 
 Work that does not depend on the input is done once per configuration, as
 kernel tables are built once: `n_norm`'s witnesses from the seeded mixed
@@ -302,9 +303,18 @@ def otilde_norm(g: Field | Sequence[Field], params: Params, kind: str = "riesz",
     the fields still reweighting and one Choquet sweep for their v^s, and
     one sweep for the witnesses' check. Each field keeps its own stop rules.
     """
-    q, s = params.q_below_s("otilde_norm"), params.s
+    params.q_below_s("otilde_norm")
     single = isinstance(g, Field)
-    fields = [g] if single else list(g)
+    ests = _otilde_estimates([g] if single else list(g), params, kind, tol, levels, max_rounds,
+                             revalidate=True)
+    return ests[0] if single else ests
+
+
+def _otilde_estimates(fields: list, params: Params, kind: str, tol: float, levels: int,
+                      max_rounds: int, revalidate: bool) -> list:
+    """`otilde_norm` of a list of fields. With `revalidate` false the witnesses'
+    L^q(cap) sweep is skipped and the estimates carry no details."""
+    q, s = params.q, params.s
 
     def units(ghats, scales):
         grid = fields[0].grid
@@ -340,12 +350,13 @@ def otilde_norm(g: Field | Sequence[Field], params: Params, kind: str = "riesz",
             live = still
 
         witnesses = [Field(grid, w, nonneg=True) for w in best_w]
+        if not revalidate:
+            return [_heuristic_lower(up, w) for up, w in zip(upper, witnesses)]
         checks = lq_cap_norm(witnesses, q, params, kind, levels=levels, tol=tol)
         return [_heuristic_lower(up, w, witness_lq_cap_norm=check)
                 for up, w, check in zip(upper, witnesses, checks)]
 
-    ests = _normalized_all(fields, params, kind, tol, units, 0)
-    return ests[0] if single else ests
+    return _normalized_all(fields, params, kind, tol, units, 0)
 
 
 # -- Kalton-Verbitsky norm ------------------------------------------------------
@@ -574,11 +585,12 @@ def _least_majorant(u: Field, params: Params, kind: str, tol: float, objectives)
 def lambda_functional(u: Field, params: Params, kind: str = "riesz",
                       tol: float = 1e-6, levels: int = 32) -> NormEstimate:
     """Least O-norm of a nonnegative f whose potential dominates |u| at nodes.
-    The majorants' O-tilde programs run as one stack, in one `otilde_norm` call."""
+    The majorants' O-tilde programs run as one stack, as one `otilde_norm` of
+    the two, without its witness check, since only the upper bounds are kept."""
     params.q_below_s("lambda_functional")
-    return _least_majorant(u, params, kind, tol, lambda fs: [est.upper for est in otilde_norm(
-        [Field(u.grid, f, nonneg=True) for f in fs], params, kind, tol=tol, levels=levels,
-        max_rounds=2)])
+    return _least_majorant(u, params, kind, tol, lambda fs: [est.upper for est in _otilde_estimates(
+        [Field(u.grid, f, nonneg=True) for f in fs], params, kind, tol, levels, max_rounds=2,
+        revalidate=False)])
 
 
 def beta_functional(u: Field, params: Params, kind: str = "riesz",
